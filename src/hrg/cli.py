@@ -1,18 +1,16 @@
 """Command-line front end: parameter sweeps, CSV/JSON emission, regression support.
 
-Exit codes: 0 success, 2 domain errors (machine-readable JSON on stderr),
-1 internal faults.  Outputs are byte-deterministic for identical configs;
-floats are serialized with 17 significant digits in JSON and shortest
-round-trip form in CSV.
+Exit codes: 0 success, 2 domain errors and bad arguments or config values
+(machine-readable JSON on stderr), 1 internal faults.  Outputs are
+byte-deterministic for identical configs; floats are serialized with 17
+significant digits in JSON and shortest round-trip form in CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,16 +27,6 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
 
 
 def dump_report(payload: dict) -> str:
@@ -88,23 +76,45 @@ def read_config(path: str) -> dict:
     return out
 
 
-def _config_value(cfg: dict, command: str, name: str):
-    if f"{command}.{name}" in cfg:
-        return cfg[f"{command}.{name}"]
-    return cfg.get(name)
-
-
 def _fill(args, cfg: dict, command: str, name: str, cast, default):
+    """Flag value, else the config value (a dotted key beats the flat one)
+    cast and checked, else the default."""
     val = getattr(args, name, None)
     if val is None:
-        raw = _config_value(cfg, command, name)
-        val = cast(raw) if raw is not None else default
+        raw = cfg.get(f"{command}.{name}", cfg.get(name))
+        try:
+            val = cast(raw) if raw is not None else default
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise IoError(f"config value {name}: {exc}") from None
         setattr(args, name, val)
     return val
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _float_list(text: str) -> list:
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as IoError, so they exit 2 with JSON on stderr."""
+
+    def error(self, message):
+        raise IoError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hrg", description="hierarchical RG engine")
+    parser = _Parser(prog="hrg", description="hierarchical RG engine")
     parser.add_argument("--config", default=None, help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -122,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--g", type=float, default=None)
     sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--steps", type=_nonnegative_int, default=None)
 
     sp = sub.add_parser("fixed-point", help="Newton fixed point")
     common(sp)
@@ -146,15 +156,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="observable sweep over eps values")
     common(sp)
-    sp.add_argument("--eps-list", dest="eps_list", default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--eps-list", dest="eps_list", type=_float_list, default=None)
+    sp.add_argument("--threads", default=None, help="accepted for compatibility; rows run serially")
 
     sp = sub.add_parser("mc", help="Monte Carlo covariance validation")
     common(sp)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_nonnegative_int, default=None)
     sp.add_argument("--method", choices=["hierarchical", "cholesky"], default=None)
     return parser
 
@@ -178,10 +188,16 @@ def _params_from(args, cfg):
     return make_params(p, l, eps)
 
 
-def _cmd_coeffs(args, cfg) -> str:
+def _bulk_from(args, cfg):
+    """Parameters, scalar covariance table and flow coefficients; the bulk
+    commands never read the block matrix, so it is not built."""
     params = _params_from(args, cfg)
-    table = covariance_table(params)
-    fc = flow_coefficients(table, params)
+    table = covariance_table(params, build_matrix=False)
+    return params, table, flow_coefficients(table, params)
+
+
+def _cmd_coeffs(args, cfg) -> str:
+    params, table, fc = _bulk_from(args, cfg)
     rows = [
         ("p", params.p),
         ("l", params.l),
@@ -213,16 +229,12 @@ def _cmd_coeffs(args, cfg) -> str:
 
 
 def _cmd_flow(args, cfg) -> str:
-    params = _params_from(args, cfg)
-    table = covariance_table(params)
-    fc = flow_coefficients(table, params)
+    params, _, fc = _bulk_from(args, cfg)
     g = _fill(args, cfg, "flow", "g", float, fc.gbar)
-    steps = _fill(args, cfg, "flow", "steps", int, 20)
-    mu = getattr(args, "mu", None)
+    steps = _fill(args, cfg, "flow", "steps", _nonnegative_int, 20)
+    mu = _fill(args, cfg, "flow", "mu", float, None)
     if mu is None:
-        raw = _config_value(cfg, "flow", "mu")
-        mu = float(raw) if raw is not None else dynamics.critical_mass(g, fc, params, method="sequence")
-        args.mu = mu
+        mu = args.mu = dynamics.critical_mass(g, fc, params, method="sequence")
     orbit, dbs = iterate_bulk(BulkVector(g - fc.gbar, mu), fc, params, steps)
     lines = ["step,delta_g,mu,delta_b"]
     for i in range(steps):
@@ -231,9 +243,7 @@ def _cmd_flow(args, cfg) -> str:
 
 
 def _cmd_fixed_point(args, cfg) -> str:
-    params = _params_from(args, cfg)
-    table = covariance_table(params)
-    fc = flow_coefficients(table, params)
+    params, _, fc = _bulk_from(args, cfg)
     v = dynamics.find_fixed_point(fc, params)
     image, _ = bulk_step(v, fc, params)
     residual = max(abs(image.delta_g - v.delta_g), abs(image.mu - v.mu))
@@ -249,9 +259,7 @@ def _cmd_fixed_point(args, cfg) -> str:
 
 
 def _cmd_linearize(args, cfg) -> str:
-    params = _params_from(args, cfg)
-    table = covariance_table(params)
-    fc = flow_coefficients(table, params)
+    params, _, fc = _bulk_from(args, cfg)
     v = dynamics.find_fixed_point(fc, params)
     eig = dynamics.unstable_eigenpair(dynamics.jacobian_at(v, fc))
     eta = observables.eta_phi2(eig, params)
@@ -276,9 +284,7 @@ def _cmd_linearize(args, cfg) -> str:
 
 
 def _cmd_critical_mass(args, cfg) -> str:
-    params = _params_from(args, cfg)
-    table = covariance_table(params)
-    fc = flow_coefficients(table, params)
+    params, _, fc = _bulk_from(args, cfg)
     g_rel = _fill(args, cfg, "critical-mass", "g_rel", float, None)
     g = _fill(args, cfg, "critical-mass", "g", float, fc.gbar * g_rel if g_rel else fc.gbar)
     mu_seq = dynamics.critical_mass(g, fc, params, method="sequence")
@@ -295,9 +301,7 @@ def _cmd_critical_mass(args, cfg) -> str:
 
 
 def _cmd_koenigs(args, cfg) -> str:
-    params = _params_from(args, cfg)
-    table = covariance_table(params)
-    fc = flow_coefficients(table, params)
+    params, _, fc = _bulk_from(args, cfg)
     z = _fill(args, cfg, "koenigs", "z", float, 1e-4)
     v = dynamics.find_fixed_point(fc, params)
     eig = dynamics.unstable_eigenpair(dynamics.jacobian_at(v, fc))
@@ -344,14 +348,11 @@ def _report_payload(report) -> dict:
 def _cmd_observables(args, cfg) -> str:
     params = _params_from(args, cfg)
     g_rel = _fill(args, cfg, "observables", "g_rel", float, None)
-    g = getattr(args, "g", None)
-    if g is None:
-        raw = _config_value(cfg, "observables", "g")
-        g = float(raw) if raw is not None else None
+    g = _fill(args, cfg, "observables", "g", float, None)
+    table = covariance_table(params)
     if g is None and g_rel is not None:
-        table = covariance_table(params)
         g = g_rel * flow_coefficients(table, params).gbar
-    report = observables.full_report(params, g_seed=g)
+    report = observables.full_report(params, g_seed=g, table=table)
     return dump_report({"command": "observables", **_report_payload(report)})
 
 
@@ -370,8 +371,12 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_row(p: int, l: int, eps: float):
-    params = make_params(p, l, eps)
-    report = observables.full_report(params)
+    """One sweep row; a domain error fills only eps and the error column."""
+    try:
+        report = observables.full_report(make_params(p, l, eps))
+    except HRGError as exc:
+        msg = f"{type(exc).__name__}: {exc}".replace(",", ";")
+        return [eps] + [""] * (len(SWEEP_COLUMNS) - 2) + [msg]
     return [
         eps,
         report.alpha_u,
@@ -390,30 +395,10 @@ def _cmd_sweep(args, cfg) -> tuple:
     cmd = "sweep"
     p = _fill(args, cfg, cmd, "p", int, 2)
     l = _fill(args, cfg, cmd, "l", int, 1)
-    eps_raw = _fill(args, cfg, cmd, "eps_list", str, None)
-    if not eps_raw:
+    eps_values = _fill(args, cfg, cmd, "eps_list", _float_list, None)
+    if eps_values is None:
         raise IoError("sweep needs a nonempty --eps-list")
-    eps_values = [float(x) for x in str(eps_raw).split(",") if x.strip()]
-    if not eps_values:
-        raise IoError("sweep needs a nonempty --eps-list")
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        raw = _config_value(cfg, cmd, "threads") or os.environ.get("HRG_THREADS")
-        threads = int(raw) if raw else 1
-    threads = max(1, min(threads, len(eps_values)))
-
-    def run_one(eps):
-        try:
-            return _sweep_row(p, l, eps)
-        except HRGError as exc:
-            msg = f"{type(exc).__name__}: {exc}".replace(",", ";")
-            return [eps] + [""] * (len(SWEEP_COLUMNS) - 2) + [msg]
-
-    if threads == 1:
-        rows = [run_one(e) for e in eps_values]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, eps_values))
+    rows = [_sweep_row(p, l, eps) for eps in eps_values]
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
@@ -426,7 +411,7 @@ def _cmd_mc(args, cfg) -> str:
     r = _fill(args, cfg, "mc", "r", int, -1)
     s = _fill(args, cfg, "mc", "s", int, 1)
     n = _fill(args, cfg, "mc", "samples", int, 20000)
-    seed = _fill(args, cfg, "mc", "seed", int, 0)
+    seed = _fill(args, cfg, "mc", "seed", _nonnegative_int, 0)
     method = _fill(args, cfg, "mc", "method", str, "hierarchical")
     ens = mc.sample_hierarchical_field(params, r, s, n, seed, method=method)
     emp, pairing = mc.validate(ens)
@@ -448,12 +433,8 @@ def _cmd_mc(args, cfg) -> str:
 
 def run_command(argv) -> int:
     """Execute one CLI invocation; never raises for domain errors."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = read_config(args.config) if args.config else {}
         failed = False
         if args.command == "coeffs":
@@ -478,6 +459,8 @@ def run_command(argv) -> int:
             raise IoError(f"unknown command {args.command!r}")
         _emit(args, text)
         return 2 if failed else 0
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
     except HRGError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2

@@ -3,8 +3,10 @@
 The composite-field two-point value splits into an ultraviolet geometric
 series driven by the unstable eigenvalue and an infrared series over
 contracting deviation iterates; the anomalous dimension is read off the
-eigenvalue.  Everything here reports explicit truncation diagnostics
-instead of pretending exactness.
+eigenvalue.  The deviation step at the fixed point is exactly linear plus
+bilinear, so the infrared and one-point series are summed in closed form
+over the orbit's first and second z-jets; the reports carry the residuals
+of those solves and of the polarization instead of pretending exactness.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .dynamics import (
     ManifoldOrbit,
     find_fixed_point,
     jacobian_at,
-    koenigs_value,
     psi_fixed_seed,
     stable_orbit,
     t_infinity,
@@ -31,10 +32,11 @@ from .errors import ContractionError, SelfCheckError, SeriesDivergenceError
 from .geometry import ModelParams
 from .rg import (
     BulkVector,
+    DeviationQuadratic,
     DeviationVector,
     FlowCoefficients,
+    deviation_quadratic,
     deviation_step,
-    deviation_vacuum,
     flow_coefficients,
 )
 
@@ -54,9 +56,9 @@ class NormalizationSet:
 @dataclass(frozen=True)
 class IRSeriesResult:
     value: float
-    tail_bound: float
-    n_terms: int
-    stencil_delta: float
+    solve_residual: float  # relative, Stein and (I - M) solves
+    polarization_residual: float
+    n_terms: int  # block steps the closed form was polarized from
 
 
 @dataclass(frozen=True)
@@ -175,18 +177,23 @@ def _psi_vacuum_second_derivative(fc, eig, v_star, params, h: float) -> float:
     return (4.0 * second(h / 2.0) - second(h)) / 3.0
 
 
-def _deviation_linear_spectral_radius(fc, table, params, v_star, amp: float = 1e-7) -> float:
-    """Spectral radius of the linearized deviation flow at the fixed point."""
-    n = 7
-    cols = []
-    for i in range(n):
-        comps = [0.0] * n
-        comps[i] = amp
-        dv = DeviationVector(*comps)
-        out = deviation_step(v_star, dv, fc, table, params)
-        cols.append(out.as_array() / amp)
-    m = np.stack(cols, axis=1)
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+def _point_seed(v: BulkVector) -> np.ndarray:
+    """A bulk (delta_g, mu) as a point deviation on (beta4, beta2)."""
+    return np.array([v.delta_g, 0.0, v.mu, 0.0, 0.0, 0.0])
+
+
+def _polarization_residual(dq: DeviationQuadratic, v_star, fc, table, params) -> float:
+    """Relative residual of the polarized step against one direct
+    deviation_step at a generic point."""
+    probe = np.linspace(1.0, -0.5, 6)
+    direct = deviation_step(v_star, DeviationVector(*probe), fc, table, params).as_array()[:6]
+    return float(np.max(np.abs(dq.step(probe) - direct)) / np.max(np.abs(direct)))
+
+
+def _solve(a: np.ndarray, b: np.ndarray):
+    """Solution of a x = b and its relative residual."""
+    x = np.linalg.solve(a, b)
+    return x, float(np.max(np.abs(a @ x - b)) / np.max(np.abs(b)))
 
 
 def phi2_ir_reduced(
@@ -195,67 +202,34 @@ def phi2_ir_reduced(
     table: CovarianceTable,
     params: ModelParams,
     v_star: BulkVector,
-    h: float = 1e-3,
-    rtol: float = 1e-12,
-    q_max: int = 400,
+    dq: DeviationQuadratic | None = None,
 ) -> IRSeriesResult:
     """Infrared piece: second z-derivatives of the vacuum output along the
     deviation orbit seeded with the point restriction of the conjugated
-    unstable line, summed over iterations with a geometric tail bound."""
-    radius = _deviation_linear_spectral_radius(fc, table, params, v_star)
+    unstable line, summed over all iterations in closed form.
+
+    The seed is z a_0 + z^2 b_0 + O(z^3) with a_0 = e_u and b_0 = theta.
+    With step(x) = M x + Q(x, x) the orbit's jets are a_{q+1} = M a_q and
+    b_{q+1} = M b_q + Q(a_q, a_q), and term q is 2 (c.b_q + R(a_q, a_q)).
+    A = sum a_q a_q^T solves the Stein equation A = a_0 a_0^T + M A M^T, and
+    sum b_q = (I - M)^-1 (b_0 + Q(A)).
+    """
+    if dq is None:
+        dq = deviation_quadratic(v_star, fc, table, params)
+    radius = dq.spectral_radius()
     if radius >= 1.0:
         raise ContractionError(f"deviation flow not contracting: spectral radius {radius}")
-
-    def vacuum_series(z: float, q_stop: int) -> np.ndarray:
-        w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
-        psi, _, _ = psi_fixed_seed(w, fc, params, v_star=v_star)
-        dv = DeviationVector(beta4_dot=psi.delta_g - v_star.delta_g, beta2_dot=psi.mu - v_star.mu)
-        out = np.empty(q_stop)
-        for q in range(q_stop):
-            out[q] = deviation_vacuum(v_star, dv, fc, table, params)
-            if q + 1 < q_stop:
-                dv = deviation_step(v_star, dv, fc, table, params)
-        return out
-
-    # per-q second differences at three stencils; Richardson removes the
-    # O(h^2) bias, the finest pair supplies the reported value
-    q_block = 40
-    total_a = 0.0
-    total_b = 0.0
-    n_terms = 0
-    tail = np.inf
-    fs = {}
-    for zz in (h, -h, h / 2, -h / 2, h / 4, -h / 4):
-        fs[zz] = vacuum_series(zz, q_block)
-    # rounding of the base vacuum value dominates the difference noise
-    noise = 64.0 * np.finfo(float).eps * abs(delta_b_value(v_star, fc)) / (h / 4.0) ** 2
-    terms = []
-    for q in range(q_block):
-        # central second difference; the z=0 series vanishes identically
-        d_h = (fs[h][q] + fs[-h][q]) / h**2
-        d_h2 = (fs[h / 2][q] + fs[-h / 2][q]) / (h / 2) ** 2
-        d_h4 = (fs[h / 4][q] + fs[-h / 4][q]) / (h / 4) ** 2
-        rich_a = (4.0 * d_h2 - d_h) / 3.0
-        rich_b = (4.0 * d_h4 - d_h2) / 3.0
-        total_a += rich_a
-        total_b += rich_b
-        terms.append(rich_b)
-        n_terms = q + 1
-        if q >= 3 and abs(rich_b) > 100.0 * noise:
-            window = max(abs(t) for t in terms[q - 3 : q])
-            if abs(rich_b) > 0.95 * window:
-                raise ContractionError("infrared series terms are not decaying")
-        if q > 2 and abs(rich_b) < max(rtol * max(abs(total_b), 1.0), 4.0 * noise):
-            r = 0.5
-            tail = (abs(rich_b) + noise) * r / (1.0 - r)
-            break
-    else:
-        raise ContractionError(f"infrared series not settled after {q_block} terms")
+    a0 = _point_seed(eig.e_u)
+    b0 = _point_seed(theta_vector(fc, eig))
+    n = a0.size
+    a_sum, res_a = _solve(np.eye(n * n) - np.kron(dq.m, dq.m), np.outer(a0, a0).ravel())
+    a_sum = a_sum.reshape(n, n)
+    b_sum, res_b = _solve(np.eye(n) - dq.m, b0 + np.einsum("kij,ij->k", dq.q, a_sum))
     return IRSeriesResult(
-        value=total_b,
-        tail_bound=tail,
-        n_terms=n_terms,
-        stencil_delta=abs(total_a - total_b),
+        value=2.0 * float(dq.c @ b_sum + np.sum(dq.r * a_sum)),
+        solve_residual=max(res_a, res_b),
+        polarization_residual=_polarization_residual(dq, v_star, fc, table, params),
+        n_terms=dq.block_steps,
     )
 
 
@@ -324,45 +298,25 @@ def one_point_residual(
     v_star: BulkVector,
     orbit: ManifoldOrbit,
     norms: NormalizationSet,
-    h: float = 1e-3,
-    q_max: int = 200,
+    dq: DeviationQuadratic | None = None,
 ) -> float:
     """First z-derivative of the assembled log-moment generator of the
     composite field at the unit box; vanishes identically in the limit.
 
     The ultraviolet part is evaluated in its stable tail form (the
     cancellation against the y0 counter-normalization is algebraically
-    built in); the infrared part is a Richardson first difference along
-    the deviation orbit.
+    built in).  The infrared part follows the deviation orbit seeded with
+    the conjugating map at the seed point along -y2 z e_phi2, whose first
+    jet is a_0 = -y2 kappa e_u: the jets a_q = M^q a_0 sum to
+    c.(I - M)^-1 a_0.
     """
     # Xi runs along the physical seed orbit; its limit carries the seed's kappa
     _, xi_inf = xi_sequence_limit(orbit, fc, params, eig)
     uv = norms.y2 * (float(params.L) ** -3) * xi_inf / (1.0 - norms.z0)
-
-    def vacuum_series(z: float, q_stop: int) -> np.ndarray:
-        w = BulkVector(-norms.y2 * z * E_PHI2.delta_g, -norms.y2 * z * E_PHI2.mu)
-        psi, _ = koenigs_value(orbit.points[0], w, fc, params, orbit=orbit)
-        dv = DeviationVector(beta4_dot=psi.delta_g - v_star.delta_g, beta2_dot=psi.mu - v_star.mu)
-        out = np.empty(q_stop)
-        for q in range(q_stop):
-            out[q] = deviation_vacuum(v_star, dv, fc, table, params)
-            if q + 1 < q_stop:
-                dv = deviation_step(v_star, dv, fc, table, params)
-        return out
-
-    q_block = 60
-    fs = {}
-    for zz in (h, -h, h / 2, -h / 2):
-        fs[zz] = vacuum_series(zz, q_block)
-    ir = 0.0
-    for q in range(q_block):
-        d1 = (fs[h][q] - fs[-h][q]) / (2.0 * h)
-        d2 = (fs[h / 2][q] - fs[-h / 2][q]) / h
-        term = (4.0 * d2 - d1) / 3.0
-        ir += term
-        if q > 3 and abs(term) < 1e-14 * max(1.0, abs(ir)):
-            break
-    return uv + ir
+    if dq is None:
+        dq = deviation_quadratic(v_star, fc, table, params)
+    a0 = -norms.y2 * norms.kappa * _point_seed(eig.e_u)
+    return uv + float(dq.c @ np.linalg.solve(np.eye(a0.size) - dq.m, a0))
 
 
 def full_report(params: ModelParams, g_seed: float | None = None, table: CovarianceTable | None = None) -> ObservableReport:
@@ -385,20 +339,21 @@ def full_report(params: ModelParams, g_seed: float | None = None, table: Covaria
     eta = eta_phi2(eig, params)
     u2, u4 = u_values(params, table, fc, v_star)
     uv = phi2_uv_reduced(fc, eig, theta, v_star, params)
-    ir = phi2_ir_reduced(fc, eig, table, params, v_star)
+    dq = deviation_quadratic(v_star, fc, table, params)
+    ir = phi2_ir_reduced(fc, eig, table, params, v_star, dq=dq)
     reduced_sum = uv + ir.value
     _, kappa = t_infinity(v_seed, E_PHI2, fc, params, orbit=orbit)
     if kappa == 0.0:
         raise SeriesDivergenceError("kappa vanished; composite normalization undefined")
     norms = normalization_constants(fc, eig, params, orbit, kappa, reduced_sum)
     two_point = norms.y2**2 * kappa**2 * reduced_sum
-    residual = one_point_residual(fc, eig, table, params, v_star, orbit, norms)
+    residual = one_point_residual(fc, eig, table, params, v_star, orbit, norms, dq=dq)
 
     gbar = fc.gbar
     bands = {
         "implicit_order": float(params.L) ** 8 * gbar**2,
-        "ir_tail": ir.tail_bound,
-        "ir_stencil": ir.stencil_delta,
+        "ir_tail": ir.solve_residual,
+        "ir_stencil": ir.polarization_residual,
     }
     return ObservableReport(
         eta_phi2=eta,

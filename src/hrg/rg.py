@@ -317,6 +317,13 @@ def block_step(bc: BlockCouplings, table: CovarianceTable, params: ModelParams) 
     )
 
 
+def _deviated_and_bulk(v_bk: BulkVector, vd: DeviationVector, fc, table, params):
+    """Block outputs of (bulk + point deviation) and of the bulk alone."""
+    _require_zero_remainder(v_bk)
+    hom = BlockCouplings.homogeneous(params, fc.gbar + v_bk.delta_g, v_bk.mu)
+    return block_step(hom.with_deviation(vd), table, params), block_step(hom, table, params)
+
+
 def deviation_step(
     v_bk: BulkVector,
     vd: DeviationVector,
@@ -325,21 +332,8 @@ def deviation_step(
     params: ModelParams,
 ) -> DeviationVector:
     """One step of the deviation flow: extended step of (bulk + point) minus bulk."""
-    _require_zero_remainder(v_bk)
-    g = fc.gbar + v_bk.delta_g
-    hom = BlockCouplings.homogeneous(params, g, v_bk.mu)
-    out_dev = block_step(hom.with_deviation(vd), table, params)
-    out_hom = block_step(hom, table, params)
-    d = out_dev.as_array() - out_hom.as_array()
-    return DeviationVector(
-        beta4_dot=d[0],
-        beta3_dot=d[1],
-        beta2_dot=d[2],
-        beta1_dot=d[3],
-        w5_dot=d[4],
-        w6_dot=d[5],
-        f_dot=d[6],
-    )
+    out_dev, out_hom = _deviated_and_bulk(v_bk, vd, fc, table, params)
+    return DeviationVector(*(out_dev.as_array() - out_hom.as_array()))
 
 
 def deviation_vacuum(
@@ -350,12 +344,73 @@ def deviation_vacuum(
     params: ModelParams,
 ) -> float:
     """Vacuum term of the deviated block minus the homogeneous one."""
-    _require_zero_remainder(v_bk)
-    g = fc.gbar + v_bk.delta_g
-    hom = BlockCouplings.homogeneous(params, g, v_bk.mu)
-    out_dev = block_step(hom.with_deviation(vd), table, params)
-    out_hom = block_step(hom, table, params)
+    out_dev, out_hom = _deviated_and_bulk(v_bk, vd, fc, table, params)
     return out_dev.delta_b - out_hom.delta_b
+
+
+@dataclass(frozen=True)
+class DeviationQuadratic:
+    """Deviation step and vacuum at one bulk point on the f = 0 deviations.
+
+    With f = 0 every leg G f of the block step vanishes, so the step is
+    exactly linear plus bilinear in the six other point couplings (beta4,
+    beta3, beta2, beta1, w5, w6): step(x) = M x + Q(x, x) and
+    vac(x) = c.x + R(x, x).  f itself only rescales, f_out = L^-phi f_dot,
+    so M is one diagonal block of the full linearization.
+    """
+
+    m: np.ndarray  # (6, 6)
+    q: np.ndarray  # (6, 6, 6), symmetric in the last two indices
+    c: np.ndarray  # (6,)
+    r: np.ndarray  # (6, 6), symmetric
+    lam_f: float
+    block_steps: int
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        return self.m @ x + np.einsum("kij,i,j->k", self.q, x, x)
+
+    def spectral_radius(self) -> float:
+        """Spectral radius of the full linearized deviation flow, f included."""
+        return max(float(np.max(np.abs(np.linalg.eigvals(self.m)))), self.lam_f)
+
+
+def deviation_quadratic(
+    v_bk: BulkVector,
+    fc: FlowCoefficients,
+    table: CovarianceTable,
+    params: ModelParams,
+) -> DeviationQuadratic:
+    """Polarize the deviation step at v_bk exactly from 28 block steps: the
+    bulk block, +-e_i for the linear and diagonal terms and e_i + e_j for
+    the cross terms."""
+    _require_zero_remainder(v_bk)
+    hom = BlockCouplings.homogeneous(params, fc.gbar + v_bk.delta_g, v_bk.mu)
+
+    def outputs(bc: BlockCouplings) -> np.ndarray:
+        out = block_step(bc, table, params)
+        return np.append(out.as_array()[:6], out.delta_b)
+
+    base = outputs(hom)
+    n = 6
+    eye = np.eye(n)
+    plus = [outputs(hom.with_deviation(DeviationVector(*e))) - base for e in eye]
+    minus = [outputs(hom.with_deviation(DeviationVector(*-e))) - base for e in eye]
+    lin = (np.stack(plus, axis=1) - np.stack(minus, axis=1)) / 2.0
+    quad = np.zeros((n + 1, n, n))
+    for i in range(n):
+        quad[:, i, i] = (plus[i] + minus[i]) / 2.0
+        for j in range(i):
+            # step(e_i + e_j) - step(e_i) - step(e_j) = 2 Q(e_i, e_j)
+            both = outputs(hom.with_deviation(DeviationVector(*(eye[i] + eye[j])))) - base
+            quad[:, i, j] = quad[:, j, i] = (both - plus[i] - plus[j]) / 2.0
+    return DeviationQuadratic(
+        m=lin[:n],
+        q=quad[:n],
+        c=lin[n],
+        r=quad[n],
+        lam_f=float(params.L) ** -params.phi_dim,
+        block_steps=1 + n * (n + 3) // 2,
+    )
 
 
 def uv_explicit_series(

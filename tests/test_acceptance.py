@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hrg.covariance import covariance_table, gamma_series_value, gamma_value
+from hrg.covariance import DEFAULT_MATRIX_BUDGET, covariance_table, gamma_series_value, gamma_value
+from hrg.errors import DomainError
 from hrg.geometry import make_params
 from hrg.mc import sample_hierarchical_field, validate
 from hrg.observables import eta_phi2, full_report, phi2_ir_reduced, phi2_uv_reduced, u_values, delta_b_value
@@ -159,6 +160,40 @@ def test_criterion_06_anomalous_dimension_trend():
         f"criterion 06 PASS: eta/eps = {shown} monotone to 2/3 "
         f"(gap {abs(ratios[-1]-2/3):.4f} < 0.02); (1-L^3/a^2)/eps -> log(L)/3 within "
         f"{abs(slopes[-1]-target)/target:.2%}"
+    )
+
+
+def test_eta_closed_form():
+    # eta_phi2 = -2 log_L((2 + L^-eps)/3): the lower triangular Jacobian
+    # gives alpha_u = L^((3+eps)/2) (2 + L^-eps)/3 exactly; checked through
+    # the bulk route everywhere and through the full report wherever the
+    # block matrix fits the box budget
+    worst, reports, no_orbit, over_budget = 0.0, 0, [], []
+    for p in (2, 3, 5, 7):
+        for l in (1, 2):
+            for eps in (0.01, 0.1, 0.5):
+                params = make_params(p, l, eps, box_budget=200_000)
+                L = float(params.L)
+                closed = -2.0 * np.log((2.0 + L**-eps) / 3.0) / np.log(L)
+                fc = flow_coefficients(covariance_table(params, build_matrix=False), params)
+                eig = unstable_eigenpair(jacobian_at(find_fixed_point(fc, params), fc))
+                etas = [eta_phi2(eig, params)]
+                if params.n_boxes > DEFAULT_MATRIX_BUDGET:
+                    over_budget.append((p, l, eps))
+                elif abs(fc.lam_g) >= 1.0:
+                    # no stable manifold: the report must refuse the point
+                    with pytest.raises(DomainError):
+                        full_report(params)
+                    no_orbit.append((p, l, eps))
+                else:
+                    etas.append(full_report(params).eta_phi2)
+                    reports += 1
+                for eta in etas:
+                    worst = max(worst, abs(eta - closed))
+    assert worst <= 1e-12
+    print(
+        f"eta closed form PASS: |eta - closed| <= {worst:.2e} over 24 points, {reports} full reports; "
+        f"over the box budget {over_budget}; no stable manifold {no_orbit}"
     )
 
 

@@ -200,3 +200,35 @@ def test_observables_g_rel_flag():
     base = load_report((DATA / "golden_observables_p2l1e01.json").read_text())
     assert data["u4"] == pytest.approx(base["u4"], abs=1e-10)
     assert data["norms"]["kappa"] != base["norms"]["kappa"]
+
+
+def _assert_input_error(rc, err):
+    assert rc == 2
+    assert json.loads(err)["error"] == "IoError"
+
+
+def test_mc_negative_seed_exits_2(tmp_path):
+    rc, out, err = run(["mc", "--seed", "-1", "--samples", "1000"])
+    _assert_input_error(rc, err)
+    assert out == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mc.seed = -1\nsamples = 1000\n")
+    _assert_input_error(*run(["--config", str(cfg), "mc"])[::2])
+
+
+def test_sweep_bad_eps_list_exits_2(tmp_path):
+    rc, out, err = run(["sweep", "--eps-list", "0.1,abc"])
+    _assert_input_error(rc, err)
+    assert out == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep.eps_list = 0.1,abc\n")
+    _assert_input_error(*run(["--config", str(cfg), "sweep"])[::2])
+
+
+def test_flow_negative_steps_exits_2(tmp_path):
+    rc, out, err = run(["flow", "--steps", "-3"])
+    _assert_input_error(rc, err)
+    assert out == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = -3\n")
+    _assert_input_error(*run(["--config", str(cfg), "flow"])[::2])

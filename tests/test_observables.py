@@ -16,12 +16,13 @@ from hrg.observables import (
     u_values,
     xi_sequence_limit,
 )
-from hrg.rg import BulkVector, flow_coefficients
+from hrg.rg import BulkVector, DeviationVector, deviation_step, deviation_vacuum, flow_coefficients
 from hrg.dynamics import (
     E_PHI2,
     EigenData,
     find_fixed_point,
     jacobian_at,
+    psi_fixed_seed,
     stable_orbit,
     t_infinity,
     theta_vector,
@@ -137,17 +138,55 @@ def test_uv_reduced_divergence_guard(m21):
         phi2_uv_reduced(fc, bad, theta_vector(fc, eig), v_star, params)
 
 
-def test_ir_reduced_stencil_independence(m21):
-    params, table, fc, v_star, eig = m21
-    a = phi2_ir_reduced(fc, eig, table, params, v_star, h=1e-3)
-    b = phi2_ir_reduced(fc, eig, table, params, v_star, h=5e-4)
-    assert isinstance(a, IRSeriesResult)
-    assert abs(a.value - b.value) <= 1e-6
-    assert a.stencil_delta <= 1e-6
-    assert a.tail_bound < 1e-6
+def _richardson_ir_oracle(fc, eig, table, params, v_star, h=1e-3, rtol=1e-12, q_block=40):
+    """The infrared piece by finite differences along literal deviation
+    orbits: per-q central second differences in z at steps h/2 and h/4,
+    Richardson-extrapolated, summed until the terms fall below rtol or the
+    difference noise.  Returns (value, tail_bound)."""
+
+    def vacuum_series(z):
+        w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
+        psi, _, _ = psi_fixed_seed(w, fc, params, v_star=v_star)
+        dv = DeviationVector(beta4_dot=psi.delta_g - v_star.delta_g, beta2_dot=psi.mu - v_star.mu)
+        out = []
+        for _ in range(q_block):
+            out.append(deviation_vacuum(v_star, dv, fc, table, params))
+            dv = deviation_step(v_star, dv, fc, table, params)
+        return out
+
+    fs = {z: vacuum_series(z) for z in (h / 2, -h / 2, h / 4, -h / 4)}
+    # rounding of the base vacuum value dominates the difference noise
+    noise = 64.0 * np.finfo(float).eps * abs(delta_b_value(v_star, fc)) / (h / 4.0) ** 2
+    total = 0.0
+    for q in range(q_block):
+        # the z = 0 series vanishes identically
+        d_h2 = (fs[h / 2][q] + fs[-h / 2][q]) / (h / 2) ** 2
+        d_h4 = (fs[h / 4][q] + fs[-h / 4][q]) / (h / 4) ** 2
+        term = (4.0 * d_h4 - d_h2) / 3.0
+        total += term
+        if q > 2 and abs(term) < max(rtol * max(abs(total), 1.0), 4.0 * noise):
+            return total, (abs(term) + noise)  # geometric tail at ratio 1/2
+    raise AssertionError(f"oracle series not settled after {q_block} terms")
+
+
+@pytest.mark.parametrize("point", [(2, 1, 0.1), (3, 1, 0.1), (2, 1, 0.02)], ids=lambda p: "-".join(map(str, p)))
+def test_ir_reduced_matches_richardson_oracle(point):
+    params = make_params(*point)
+    table = covariance_table(params)
+    fc = flow_coefficients(table, params)
+    v_star = find_fixed_point(fc, params)
+    eig = unstable_eigenpair(jacobian_at(v_star, fc))
+    ir = phi2_ir_reduced(fc, eig, table, params, v_star)
+    assert isinstance(ir, IRSeriesResult)
+    assert ir.solve_residual < 1e-13
+    assert ir.polarization_residual < 1e-13
+    oracle, tail = _richardson_ir_oracle(fc, eig, table, params, v_star)
+    assert tail < 1e-6
+    assert abs(ir.value - oracle) <= tail
     # leading term is the same-box pair graph of the mass direction
     q0 = 2.0 * (table.gamma_ball**2 + 2.0 * float(params.L) ** (-2 * params.phi_dim) * table.c0_zero * table.gamma_ball)
-    assert a.value == pytest.approx(q0 / (1 - 0.1276), rel=0.2)
+    if point == (2, 1, 0.1):
+        assert ir.value == pytest.approx(q0 / (1 - 0.1276), rel=0.2)
 
 
 def test_ir_reduced_bounded_in_eps():

@@ -14,6 +14,7 @@ from hrg.rg import (
     block_step,
     bulk_step,
     cumulant_oracle,
+    deviation_quadratic,
     deviation_step,
     deviation_vacuum,
     extract_couplings,
@@ -333,6 +334,35 @@ def test_deviation_linear_map_contracts(m21):
     m = np.stack(cols, axis=1)
     radius = np.max(np.abs(np.linalg.eigvals(m)))
     assert radius < 15.0 / 16.0
+    # the polarized map's radius, with f's own multiplier L^-phi, is the same
+    dq = deviation_quadratic(v_star, fc, table, params)
+    assert dq.spectral_radius() == pytest.approx(radius, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "point", [(2, 1, 0.1), (3, 1, 0.1), (2, 2, 0.1), (5, 1, 0.05)], ids=lambda p: "-".join(map(str, p))
+)
+def test_deviation_quadratic_reproduces_dense_step(point):
+    from hrg.dynamics import find_fixed_point
+
+    params = make_params(*point)
+    table = covariance_table(params)
+    fc = flow_coefficients(table, params)
+    v_star = find_fixed_point(fc, params)
+    dq = deviation_quadratic(v_star, fc, table, params)
+    assert dq.block_steps == 28
+    rng = np.random.default_rng(7)
+    # below scale 0.1 the oracle's own difference of two block vacua
+    # (rounding about eps * |delta_b| ~ 1e-18) exceeds 1e-12 of the result
+    for scale in (0.1, 1.0, 10.0):
+        for _ in range(3):
+            x = scale * rng.standard_normal(6)
+            dv = DeviationVector(*x)
+            direct = deviation_step(v_star, dv, fc, table, params).as_array()
+            assert direct[6] == 0.0  # f stays 0
+            assert np.max(np.abs(dq.step(x) - direct[:6])) <= 1e-12 * np.max(np.abs(direct))
+            vac = deviation_vacuum(v_star, dv, fc, table, params)
+            assert abs(dq.c @ x + x @ dq.r @ x - vac) <= 1e-12 * abs(vac)
 
 
 def test_mass_deviation_cross_terms(m21):
