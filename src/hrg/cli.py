@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--steps", type=_nonnegative_int, default=None)
 
-    sp = sub.add_parser("fixed-point", help="Newton fixed point")
+    sp = sub.add_parser("fixed-point", help="closed-form fixed point")
     common(sp)
 
     sp = sub.add_parser("linearize", help="eigenvalue and eigenvector at the fixed point")

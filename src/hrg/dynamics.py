@@ -1,13 +1,17 @@
 """Fixed point, eigen-structure, stable manifold, and partial linearization
 of the bulk flow.
 
-The truncated flow is two dimensional and lower triangular at the fixed
-point: the coupling direction contracts with multiplier 2 - L^eps and the
-mass direction expands with the unstable eigenvalue.  Orbits on the stable
-manifold are represented by the self-consistent sequence solution (solved
-with boundary data on both ends), not by naive forward iteration: forward
-iteration amplifies the seed's rounding error along the unstable direction
-and leaves the manifold after a few dozen steps.  The conjugating map is
+The truncated flow is two dimensional and exactly solvable: the fixed point
+sits on the invariant line delta_g = 0, and the Jacobian there is lower
+triangular, so the coupling direction contracts with multiplier 2 - L^eps
+and the mass direction (0, 1) expands with the unstable eigenvalue
+lam_mu_free - a3 gbar.  Orbits on the stable manifold are represented by
+the sequence solution with boundary data on both ends, not by naive forward
+iteration: forward iteration amplifies the seed's rounding error along the
+unstable direction and leaves the manifold after a few dozen steps.  The
+coupling recurrence does not involve the mass, and the mass recurrence is
+linear once the coupling orbit is known, so the solution is one forward
+sweep in delta_g and one backward sweep in mu.  The conjugating map is
 evaluated by transporting its argument along that trajectory with chained
 Jacobians and taking the limit at the fixed point, which is where the
 defining double iteration is numerically stable.
@@ -24,7 +28,6 @@ from .errors import (
     DomainError,
     EscapeAmbiguousError,
     ManifoldRadiusError,
-    NewtonError,
     NoGapError,
     OffManifoldError,
     ResonanceError,
@@ -34,10 +37,14 @@ from .rg import BulkVector, FlowCoefficients, bulk_step
 
 E_PHI2 = BulkVector(0.0, 1.0)
 
-DEFAULT_MANIFOLD_RADIUS = 0.5  # relative to gbar
+MANIFOLD_RADIUS = 0.5  # relative to gbar
 ESCAPE_GUARD_FACTOR = 1e3
 ESCAPE_MAX_STEPS = 10_000
 MEMBERSHIP_ATOL = 1e-10
+PSI_TOL = 1e-12  # Cauchy tolerance between stages of the double iteration
+PSI_MAX_STAGES = 2000
+T_INFINITY_TOL = 1e-13
+SEMIGROUP_SHIFTS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -58,22 +65,6 @@ class KoenigsResult:
     quadratic_coeff_estimate: float
 
 
-@dataclass(frozen=True)
-class DiagnosticsConfig:
-    """Norm exponents used only for reporting sizes in calibrator units."""
-
-    eta: float = 0.0
-    e1: float = 1.0
-    e2: float = 1.0
-    e3: float = 1.0
-    e4: float = 1.5
-    e_w: float = 2.0
-    e_r: float = 21.0 / 8.0
-
-    def bulk_norm(self, v: BulkVector, gbar: float) -> float:
-        return max(abs(v.delta_g) * gbar**-self.e4, abs(v.mu) * gbar**-self.e2)
-
-
 def _norm(v: BulkVector) -> float:
     return max(abs(v.delta_g), abs(v.mu))
 
@@ -82,38 +73,13 @@ def _diff(a: BulkVector, b: BulkVector) -> float:
     return max(abs(a.delta_g - b.delta_g), abs(a.mu - b.mu))
 
 
-def closed_form_fixed_point(fc: FlowCoefficients) -> BulkVector:
-    """Exact fixed point of the truncated flow: delta_g = 0 on the invariant line."""
+def find_fixed_point(fc: FlowCoefficients, params: ModelParams) -> BulkVector:
+    """Exact fixed point of the truncated flow: delta_g = 0 on the invariant
+    line, and mu solves mu = lam_mu_free mu - a2 gbar^2 - a3 gbar mu."""
     denom = fc.lam_mu_free - 1.0 - fc.a3 * fc.gbar
     if denom <= 0.0:
         raise DomainError("unstable multiplier too close to 1; fixed-point formula invalid")
     return BulkVector(0.0, fc.a2 * fc.gbar**2 / denom)
-
-
-def find_fixed_point(
-    fc: FlowCoefficients,
-    params: ModelParams,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> BulkVector:
-    """Newton iteration for the fixed point, seeded at the origin."""
-    if fc.lam_mu_free - 1.0 - fc.a3 * fc.gbar <= 0.0:
-        raise DomainError("unstable multiplier too close to 1 for a Newton solve")
-    v = BulkVector(0.0, 0.0)
-    for _ in range(max_iter):
-        image, _ = bulk_step(v, fc, params)
-        res = np.array([image.delta_g - v.delta_g, image.mu - v.mu])
-        if not np.all(np.isfinite(res)):
-            raise NewtonError("Newton iterate diverged", last=v)
-        if np.max(np.abs(res)) <= tol:
-            return v
-        j = jacobian_at(v, fc) - np.eye(2)
-        try:
-            step = np.linalg.solve(j, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular Newton system: {exc}", last=v) from exc
-        v = BulkVector(v.delta_g + step[0], v.mu + step[1])
-    raise NewtonError(f"no convergence in {max_iter} Newton steps", last=v)
 
 
 def jacobian_at(v: BulkVector, fc: FlowCoefficients) -> np.ndarray:
@@ -130,51 +96,16 @@ def jacobian_at(v: BulkVector, fc: FlowCoefficients) -> np.ndarray:
     )
 
 
-def unstable_eigenpair(j: np.ndarray, max_iter: int = 200, tol: float = 1e-12) -> EigenData:
-    """Dominant eigenpair by power iteration; e_u normalized to mu-component 1."""
-    x = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = j @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            raise NoGapError("matrix annihilates the iterate")
-        y = y / ny
-        lam = float(y @ j @ y) / float(y @ y)
-        if np.linalg.norm(j @ y - lam * y) <= tol * max(1.0, abs(lam)):
-            x = y
-            break
-        x = y
-    else:
-        raise NoGapError(f"power iteration did not settle in {max_iter} steps")
-    # polish with the exact characteristic root nearest the iterate; long
-    # chained-Jacobian products need the eigenvalue at machine precision
-    tr = float(j[0, 0] + j[1, 1])
-    disc = (j[0, 0] - j[1, 1]) ** 2 + 4.0 * j[0, 1] * j[1, 0]
-    if disc >= 0.0:
-        root = np.sqrt(disc)
-        cands = [(tr + root) / 2.0, (tr - root) / 2.0]
-        lam = min(cands, key=lambda c: abs(c - lam))
-        scale = max(1.0, abs(lam))
-        if abs(j[0, 0] - lam) > 1e-9 * scale:
-            x = np.array([-j[0, 1] / (j[0, 0] - lam), 1.0])
-        elif abs(j[1, 1] - lam) > 1e-9 * scale:
-            x = np.array([1.0, -j[1, 0] / (j[1, 1] - lam)])
-    if abs(x[1]) < 1e-12:
-        raise NoGapError("dominant direction has no mu-component; cannot normalize")
-    e = x / x[1]
-    lam_other = tr - lam
-    return EigenData(alpha_u=lam, e_u=BulkVector(float(e[0]), 1.0), lam_g=lam_other, jacobian=j.copy())
-
-
-def unstable_projection(eig: EigenData) -> np.ndarray:
-    """Spectral projection onto the unstable line along the stable one."""
-    vals, vecs = np.linalg.eig(eig.jacobian)
-    i_u = int(np.argmax(np.abs(vals)))
-    i_s = 1 - i_u
-    basis = np.stack([vecs[:, i_s], vecs[:, i_u]], axis=1)
-    coords = np.linalg.inv(basis)
-    return np.real(np.outer(basis[:, 1], coords[1, :]))
+def unstable_eigenpair(j: np.ndarray) -> EigenData:
+    """Eigenpair of a lower triangular Jacobian whose mass entry dominates:
+    alpha_u = J[1, 1] with e_u = (0, 1), and lam_g = J[0, 0]."""
+    if j[0, 1] != 0.0:
+        raise NoGapError("Jacobian is not lower triangular")
+    if abs(j[1, 1]) <= abs(j[0, 0]):
+        raise NoGapError("mass eigenvalue does not dominate; no unstable direction (0, 1)")
+    return EigenData(
+        alpha_u=float(j[1, 1]), e_u=BulkVector(0.0, 1.0), lam_g=float(j[0, 0]), jacobian=j.copy()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,67 +143,34 @@ def _sequence_depth(delta_g0: float, fc: FlowCoefficients) -> int:
     return min(max(depth, 200), 50_000)
 
 
-def stable_orbit(
-    g: float,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    radius: float = DEFAULT_MANIFOLD_RADIUS,
-    depth: int | None = None,
-) -> ManifoldOrbit:
-    """Solve the one-sided sequence equations for the critical trajectory
-    above the coupling g.
+def _require_in_radius(delta_g0: float, fc: FlowCoefficients) -> None:
+    if abs(delta_g0) > MANIFOLD_RADIUS * fc.gbar:
+        raise ManifoldRadiusError(
+            f"|g - gbar| = {abs(delta_g0):.3e} outside radius {MANIFOLD_RADIUS * fc.gbar:.3e}"
+        )
 
-    The coupling component runs forward from its boundary value and the mass
-    component backward from the fixed-point tail, so the solution cannot
-    drift off the manifold the way a forward orbit does.  Damped iteration
-    with factor 1/2.
+
+def stable_orbit(g: float, fc: FlowCoefficients, params: ModelParams) -> ManifoldOrbit:
+    """Critical trajectory above the coupling g, by two direct sweeps.
+
+    The coupling component runs forward from its boundary value; the mass
+    component, linear once the couplings are known, runs backward from the
+    frozen fixed-point tail at the truncation depth, so the solution cannot
+    drift off the manifold the way a forward orbit does.
     """
     delta_g0 = g - fc.gbar
-    if abs(delta_g0) > radius * fc.gbar:
-        raise ManifoldRadiusError(
-            f"|g - gbar| = {abs(delta_g0):.3e} outside radius {radius * fc.gbar:.3e}"
-        )
-    if depth is None:
-        depth = _sequence_depth(delta_g0, fc)
+    _require_in_radius(delta_g0, fc)
+    depth = _sequence_depth(delta_g0, fc)
     v_star = find_fixed_point(fc, params)
-    lam_s = fc.lam_g
-    lam_u = fc.lam_mu_free
-    dg = np.zeros(depth + 1)
-    mu = np.full(depth + 1, v_star.mu)
+    dg = np.empty(depth + 1)
     dg[0] = delta_g0
-    damping = 0.5
-    last_change = np.inf
-    stall = 0
-    for _ in range(5000):
-        xi4 = -fc.a1 * dg**2
-        new_dg = np.empty_like(dg)
-        new_dg[0] = delta_g0
-        for n in range(1, depth + 1):
-            new_dg[n] = lam_s * new_dg[n - 1] + xi4[n - 1]
-        gs = fc.gbar + dg
-        xi_mu = -fc.a2 * gs**2 - fc.a3 * gs * mu
-        new_mu = np.empty_like(mu)
-        # frozen geometric tail beyond the truncation depth
-        new_mu[depth] = -xi_mu[depth] / (lam_u - 1.0)
-        for n in range(depth - 1, -1, -1):
-            new_mu[n] = (new_mu[n + 1] - xi_mu[n]) / lam_u
-        new_dg = (1.0 - damping) * dg + damping * new_dg
-        new_mu = (1.0 - damping) * mu + damping * new_mu
-        change = max(np.max(np.abs(new_dg - dg)), np.max(np.abs(new_mu - mu)))
-        dg, mu = new_dg, new_mu
-        if change == 0.0:
-            break
-        if change < 1e-17:
-            break
-        if change >= last_change:
-            stall += 1
-            if stall > 8:
-                break
-        else:
-            stall = 0
-        last_change = change
-    else:
-        raise ConvergenceError("sequence iteration for the stable orbit did not settle")
+    for n in range(depth):
+        dg[n + 1] = fc.lam_g * dg[n] - fc.a1 * dg[n] ** 2
+    gs = fc.gbar + dg
+    mu = np.empty(depth + 1)
+    mu[depth] = fc.a2 * gs[depth] ** 2 / (fc.lam_mu_free - 1.0 - fc.a3 * gs[depth])
+    for n in range(depth - 1, -1, -1):
+        mu[n] = (mu[n + 1] + fc.a2 * gs[n] ** 2) / (fc.lam_mu_free - fc.a3 * gs[n])
 
     snap = 256.0 * np.finfo(float).eps * max(abs(v_star.mu), fc.gbar)
     settle = depth
@@ -285,26 +183,16 @@ def stable_orbit(
     return ManifoldOrbit(points=tuple(points), v_star=v_star, settle_index=settle)
 
 
-def critical_mass(
-    g: float,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    method: str = "sequence",
-    radius: float = DEFAULT_MANIFOLD_RADIUS,
-    depth: int | None = None,
-) -> float:
+def critical_mass(g: float, fc: FlowCoefficients, params: ModelParams, method: str = "sequence") -> float:
     """Mass on the stable manifold above the coupling g.
 
     sequence: boundary value of the solved critical trajectory.
     bisection: bisect the starting mass on the orbit escape criterion.
     """
     delta_g0 = g - fc.gbar
-    if abs(delta_g0) > radius * fc.gbar:
-        raise ManifoldRadiusError(
-            f"|g - gbar| = {abs(delta_g0):.3e} outside radius {radius * fc.gbar:.3e}"
-        )
+    _require_in_radius(delta_g0, fc)
     if method == "sequence":
-        return stable_orbit(g, fc, params, radius=radius, depth=depth).mu0
+        return stable_orbit(g, fc, params).mu0
     if method == "bisection":
         return _critical_mass_bisection(delta_g0, fc, params)
     raise DomainError(f"unknown method {method!r}")
@@ -342,19 +230,14 @@ def _critical_mass_bisection(delta_g0: float, fc: FlowCoefficients, params: Mode
     return 0.5 * (lo + hi)
 
 
-def orbit_for_seed(
-    v: BulkVector,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    atol: float = MEMBERSHIP_ATOL,
-) -> ManifoldOrbit:
+def orbit_for_seed(v: BulkVector, fc: FlowCoefficients, params: ModelParams) -> ManifoldOrbit:
     """Shadowed orbit through a seed, verifying it lies on the manifold.
 
     The manifold is the graph of the critical mass over the coupling; a
-    seed whose mass disagrees beyond atol is rejected.
+    seed whose mass disagrees beyond MEMBERSHIP_ATOL is rejected.
     """
     orbit = stable_orbit(fc.gbar + v.delta_g, fc, params)
-    if abs(v.mu - orbit.mu0) > atol * max(1.0, abs(orbit.mu0)):
+    if abs(v.mu - orbit.mu0) > MEMBERSHIP_ATOL * max(1.0, abs(orbit.mu0)):
         raise OffManifoldError(
             f"seed mass {v.mu!r} differs from the manifold value {orbit.mu0!r}"
         )
@@ -389,8 +272,6 @@ def psi_fixed_seed(
     fc: FlowCoefficients,
     params: ModelParams,
     v_star: BulkVector | None = None,
-    tol: float = 1e-12,
-    n_max: int = 2000,
 ):
     """Defining double iteration seeded at the fixed point.
 
@@ -408,11 +289,11 @@ def psi_fixed_seed(
     best_diff = np.inf
     best_n = 0
     grow = 0
-    for n in range(n_max):
+    for n in range(PSI_MAX_STAGES):
         cur = _psi_stage(v_star, w, alpha, n, fc, params)
         if prev is not None:
             d = _diff(cur, prev)
-            if d < tol:
+            if d < PSI_TOL:
                 return cur, n, d
             if d < best_diff:
                 best, best_diff, best_n = cur, d, n
@@ -422,7 +303,7 @@ def psi_fixed_seed(
                 if grow >= 3:
                     return best, best_n, best_diff
         prev = cur
-    raise ConvergenceError(f"no Cauchy convergence within {n_max} stages", n_used=n_max)
+    raise ConvergenceError(f"no Cauchy convergence within {PSI_MAX_STAGES} stages", n_used=PSI_MAX_STAGES)
 
 
 def transport_along(
@@ -440,7 +321,6 @@ def koenigs_value(
     w: BulkVector,
     fc: FlowCoefficients,
     params: ModelParams,
-    tol: float = 1e-12,
     orbit: ManifoldOrbit | None = None,
 ):
     """Conjugating map value at (v, w); returns (value, n_used).
@@ -455,28 +335,20 @@ def koenigs_value(
     eig = unstable_eigenpair(jacobian_at(orbit.v_star, fc))
     q = orbit.settle_index
     w_t = transport_along(orbit, w, fc, eig.alpha_u, q)
-    value, n_used, _ = psi_fixed_seed(w_t, fc, params, v_star=orbit.v_star, tol=tol)
+    value, n_used, _ = psi_fixed_seed(w_t, fc, params, v_star=orbit.v_star)
     return value, q + n_used
 
 
-def koenigs_psi(
-    v: BulkVector,
-    w: BulkVector,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    tol: float = 1e-12,
-) -> KoenigsResult:
+def koenigs_psi(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: ModelParams) -> KoenigsResult:
     """Conjugating map with intertwining and curvature diagnostics."""
     orbit = orbit_for_seed(v, fc, params)
     eig = unstable_eigenpair(jacobian_at(orbit.v_star, fc))
     alpha = eig.alpha_u
-    value, n_used = koenigs_value(v, w, fc, params, tol=tol, orbit=orbit)
-    shrunk, _ = koenigs_value(
-        v, BulkVector(w.delta_g / alpha, w.mu / alpha), fc, params, tol=tol, orbit=orbit
-    )
+    value, n_used = koenigs_value(v, w, fc, params, orbit=orbit)
+    shrunk, _ = koenigs_value(v, BulkVector(w.delta_g / alpha, w.mu / alpha), fc, params, orbit=orbit)
     image, _ = bulk_step(shrunk, fc, params)
     intertwine = _diff(image, value)
-    half, _ = koenigs_value(v, BulkVector(0.5 * w.delta_g, 0.5 * w.mu), fc, params, tol=tol, orbit=orbit)
+    half, _ = koenigs_value(v, BulkVector(0.5 * w.delta_g, 0.5 * w.mu), fc, params, orbit=orbit)
     base = orbit.v_star
     wnorm = _norm(w)
     second = max(
@@ -497,7 +369,6 @@ def t_infinity(
     w: BulkVector,
     fc: FlowCoefficients,
     params: ModelParams,
-    tol: float = 1e-13,
     orbit: ManifoldOrbit | None = None,
 ) -> tuple:
     """Limit of chained Jacobians along the orbit of v, divided by alpha_u^n.
@@ -516,33 +387,27 @@ def t_infinity(
     n = 0
     for n in range(1, n_settle + 400):
         y = (jacobian_at(orbit.point(n - 1), fc) @ y) / alpha
-        if n > max(2, n_settle) and np.max(np.abs(y - prev)) < tol * max(1.0, float(np.max(np.abs(y)))):
+        settled = np.max(np.abs(y - prev)) < T_INFINITY_TOL * max(1.0, float(np.max(np.abs(y))))
+        if n > max(2, n_settle) and settled:
             return BulkVector(float(y[0]), float(y[1])), float(y[1])
         prev = y.copy()
     raise ConvergenceError(f"chained Jacobians did not converge within {n} steps", n_used=n)
 
 
-def semigroup_residuals(
-    v: BulkVector,
-    w: BulkVector,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    qs=(1, 2, 3),
-    tol: float = 1e-12,
-) -> list:
-    """Residuals of the conjugation semigroup identity at the given shifts."""
+def semigroup_residuals(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: ModelParams) -> list:
+    """Residuals of the conjugation semigroup identity at SEMIGROUP_SHIFTS."""
     orbit = orbit_for_seed(v, fc, params)
     eig = unstable_eigenpair(jacobian_at(orbit.v_star, fc))
-    base, _ = koenigs_value(v, w, fc, params, tol=tol, orbit=orbit)
+    base, _ = koenigs_value(v, w, fc, params, orbit=orbit)
     out = []
-    for q in qs:
+    for q in SEMIGROUP_SHIFTS:
         shifted_w = transport_along(orbit, w, fc, eig.alpha_u, q)
         shifted_orbit = ManifoldOrbit(
             points=tuple(orbit.point(n) for n in range(q, max(q + 1, orbit.settle_index + 1))),
             v_star=orbit.v_star,
             settle_index=max(0, orbit.settle_index - q),
         )
-        other, _ = koenigs_value(orbit.point(q), shifted_w, fc, params, tol=tol, orbit=shifted_orbit)
+        other, _ = koenigs_value(orbit.point(q), shifted_w, fc, params, orbit=shifted_orbit)
         out.append(_diff(base, other))
     return out
 

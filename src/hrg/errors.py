@@ -37,16 +37,8 @@ class BlowUpError(HRGError):
     """Couplings left the configured guard region during iteration."""
 
 
-class NewtonError(HRGError):
-    """Newton iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last=None):
-        super().__init__(message)
-        self.last = last
-
-
 class NoGapError(HRGError):
-    """Power iteration found no usable spectral gap."""
+    """Jacobian is not triangular with a dominant mass eigenvalue."""
 
 
 class ManifoldRadiusError(HRGError):

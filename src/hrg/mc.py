@@ -166,27 +166,15 @@ def validate(
     batch_size: int = DEFAULT_BATCH,
     matrix_boxes: int = DEFAULT_MATRIX_BOXES,
 ) -> tuple:
-    """One pass over the ensemble: (EmpiricalCovariance, PairingEstimate)."""
-    return _consume(ens, batch_size, matrix_boxes, want_pairing=True)
-
-
-def empirical_covariance(
-    ens: FieldEnsemble,
-    batch_size: int = DEFAULT_BATCH,
-    matrix_boxes: int = DEFAULT_MATRIX_BOXES,
-) -> EmpiricalCovariance:
-    """Sample covariance against the exact one.
+    """One pass over the ensemble: (EmpiricalCovariance, PairingEstimate).
 
     Class statistics pool every ordered box pair at the same tree distance,
     which is the resolution at which the exact covariance actually varies;
     the max z-score is taken over these pooled classes.  The full empirical
     matrix is also formed when the box count is small enough to afford it.
+    The pairing estimate is the squared weighted sum over the unit box,
+    which in rescaled units is the leading p^(-3r) sub-ball of the lattice.
     """
-    emp, _ = _consume(ens, batch_size, matrix_boxes, want_pairing=False)
-    return emp
-
-
-def _consume(ens: FieldEnsemble, batch_size: int, matrix_boxes: int, want_pairing: bool):
     if ens.n_samples < 1000:
         raise SampleCountError(f"{ens.n_samples} samples; need at least 1000")
     p = ens.params.p
@@ -210,10 +198,9 @@ def _consume(ens: FieldEnsemble, batch_size: int, matrix_boxes: int, want_pairin
         if want_matrix:
             xtx += batch.T @ batch
             xsum += batch.sum(axis=0)
-        if want_pairing:
-            t = (weight * batch[:, :n_sub].sum(axis=1)) ** 2
-            pair_sum += t.sum()
-            pair_sum2 += (t**2).sum()
+        t = (weight * batch[:, :n_sub].sum(axis=1)) ** 2
+        pair_sum += t.sum()
+        pair_sum2 += (t**2).sum()
 
     counts = np.empty(levels + 1)
     counts[0] = n_boxes
@@ -238,14 +225,9 @@ def _consume(ens: FieldEnsemble, batch_size: int, matrix_boxes: int, want_pairin
         class_se=class_se,
         max_z_score=float(np.max(z)),
     )
-    pairing = None
-    if want_pairing:
-        mean = pair_sum / n
-        var = max(pair_sum2 / n - mean**2, 0.0)
-        pairing = PairingEstimate(
-            mean=mean, stderr=float(np.sqrt(var / n)), exact=exact_pairing(ens.params, ens.r)
-        )
-    return emp, pairing
+    mean = pair_sum / n
+    var = max(pair_sum2 / n - mean**2, 0.0)
+    return emp, PairingEstimate(mean=mean, stderr=float(np.sqrt(var / n)), exact=exact_pairing(ens.params, ens.r))
 
 
 @dataclass(frozen=True)
@@ -265,26 +247,3 @@ def exact_pairing(params: ModelParams, r: int) -> float:
     for k in range(1, -r + 1):
         row += (p ** (3 * k) - p ** (3 * (k - 1))) * c_r_value(params, 0, k)
     return p ** ((6 - 2 * phi) * r) * n_sub * row
-
-
-def estimate_free_pairing(ens: FieldEnsemble, batch_size: int = DEFAULT_BATCH) -> PairingEstimate:
-    """Variance of the smeared field over the unit box, versus the exact value.
-
-    In rescaled units the unit box is the leading p^(-3r) sub-ball of the
-    lattice; the estimator is the squared weighted box sum."""
-    if ens.n_samples < 1000:
-        raise SampleCountError(f"{ens.n_samples} samples; need at least 1000")
-    p = float(ens.params.p)
-    phi = ens.params.phi_dim
-    n_sub = int(p ** (-3 * ens.r))
-    weight = p ** ((3 - phi) * ens.r)
-    total = 0.0
-    total2 = 0.0
-    for batch in ens.batches(batch_size):
-        t = (weight * batch[:, :n_sub].sum(axis=1)) ** 2
-        total += t.sum()
-        total2 += (t**2).sum()
-    n = ens.n_samples
-    mean = total / n
-    var = max(total2 / n - mean**2, 0.0)
-    return PairingEstimate(mean=mean, stderr=float(np.sqrt(var / n)), exact=exact_pairing(ens.params, ens.r))

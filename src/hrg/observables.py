@@ -40,6 +40,10 @@ from .rg import (
     flow_coefficients,
 )
 
+U_SERIES_RTOL = 1e-14  # stop the u4 scale series once a term falls below this share
+FD_H = 1e-3  # step of the Richardson second difference checking the UV piece
+FD_CHECK_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class NormalizationSet:
@@ -94,7 +98,7 @@ def eta_phi2(eig: EigenData, params: ModelParams) -> float:
     return (3.0 + params.eps) - 2.0 * np.log(eig.alpha_u) / np.log(L)
 
 
-def u_values(params: ModelParams, table: CovarianceTable, fc: FlowCoefficients, v_star: BulkVector, rtol: float = 1e-14):
+def u_values(params: ModelParams, table: CovarianceTable, fc: FlowCoefficients, v_star: BulkVector):
     """Connected two- and four-point values of the elementary field on the
     unit box, from the explicit scale series with closed inner sums."""
     L = float(params.L)
@@ -120,7 +124,7 @@ def u_values(params: ModelParams, table: CovarianceTable, fc: FlowCoefficients, 
         total += bracket
         inner += q * x**q
         q += 1
-        if q > 4 and bracket < rtol * total:
+        if q > 4 and bracket < U_SERIES_RTOL * total:
             break
     u4 = -24.0 * g_star * total
     return u2, u4
@@ -132,9 +136,6 @@ def phi2_uv_reduced(
     theta: BulkVector,
     v_star: BulkVector,
     params: ModelParams,
-    fd_check: bool = True,
-    fd_h: float = 1e-3,
-    check_rtol: float = 1e-6,
 ) -> float:
     """Ultraviolet piece of the reduced composite two-point value.
 
@@ -154,16 +155,13 @@ def phi2_uv_reduced(
         + 4.0 * fc.a4 * g_star * theta.delta_g
         + 4.0 * fc.a5 * v_star.mu * theta.mu
     )
-    if fd_check:
-        fd = _psi_vacuum_second_derivative(fc, eig, v_star, params, fd_h)
-        if abs(fd - analytic) > check_rtol * max(abs(analytic), 1e-300):
-            raise SelfCheckError(
-                f"vacuum second derivative mismatch: analytic {analytic!r} vs fd {fd!r}"
-            )
+    fd = _psi_vacuum_second_derivative(fc, eig, v_star, params)
+    if abs(fd - analytic) > FD_CHECK_RTOL * max(abs(analytic), 1e-300):
+        raise SelfCheckError(f"vacuum second derivative mismatch: analytic {analytic!r} vs fd {fd!r}")
     return analytic / (eig.alpha_u**2 - L3)
 
 
-def _psi_vacuum_second_derivative(fc, eig, v_star, params, h: float) -> float:
+def _psi_vacuum_second_derivative(fc, eig, v_star, params) -> float:
     def f(z: float) -> float:
         if z == 0.0:
             return delta_b_value(v_star, fc)
@@ -174,7 +172,7 @@ def _psi_vacuum_second_derivative(fc, eig, v_star, params, h: float) -> float:
     def second(hh: float) -> float:
         return (f(hh) - 2.0 * f(0.0) + f(-hh)) / hh**2
 
-    return (4.0 * second(h / 2.0) - second(h)) / 3.0
+    return (4.0 * second(FD_H / 2.0) - second(FD_H)) / 3.0
 
 
 def _point_seed(v: BulkVector) -> np.ndarray:

@@ -15,7 +15,6 @@ from hrg.observables import eta_phi2, full_report, phi2_ir_reduced, phi2_uv_redu
 from hrg.rg import BulkVector, cumulant_oracle, flow_coefficients
 from hrg.wick import WickPoly, connection_coeff, monomial_to_wick, wick_product, wick_to_monomial
 from hrg.dynamics import (
-    closed_form_fixed_point,
     critical_mass,
     find_fixed_point,
     jacobian_at,
@@ -27,6 +26,7 @@ from hrg.dynamics import (
     theta_vector,
     unstable_eigenpair,
 )
+from oracles import newton_fixed_point
 
 GRID = [
     (p, l, eps)
@@ -120,14 +120,14 @@ def test_criterion_04_wick_algebra():
 
 def test_criterion_05_fixed_point_and_eigenvalue(standard_point):
     params, table, fc, v_star, eig = standard_point
-    cf = closed_form_fixed_point(fc)
-    assert abs(v_star.delta_g) <= 1e-10
-    assert abs(v_star.mu - cf.mu) <= 1e-10 * abs(cf.mu)
+    newton = newton_fixed_point(fc, params)
+    assert abs(v_star.delta_g) <= 1e-10 and abs(newton.delta_g) <= 1e-10
+    assert abs(v_star.mu - newton.mu) <= 1e-10 * abs(newton.mu)
     analytic = params.lam_mu_free - fc.a3 * fc.gbar
     assert abs(eig.alpha_u - analytic) <= 1e-8
     assert abs(eig.alpha_u - 2.862812) <= 1e-5
     print(
-        f"criterion 05 PASS: mu* = {v_star.mu:.6e} matches closed form; "
+        f"criterion 05 PASS: mu* = {v_star.mu:.6e} matches the Newton oracle; "
         f"alpha_u = {eig.alpha_u:.6f} = 2.862812 +- 1e-5"
     )
 

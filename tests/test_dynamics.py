@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrg.covariance import covariance_table
 from hrg.errors import (
@@ -15,7 +17,6 @@ from hrg.observables import delta_b_value
 from hrg.rg import BulkVector, FlowCoefficients, bulk_step, flow_coefficients
 from hrg.dynamics import (
     EigenData,
-    closed_form_fixed_point,
     critical_mass,
     find_fixed_point,
     jacobian_at,
@@ -29,8 +30,8 @@ from hrg.dynamics import (
     theta_vector,
     transport_along,
     unstable_eigenpair,
-    unstable_projection,
 )
+from oracles import newton_fixed_point
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +46,55 @@ def m21():
 
 def test_fixed_point_matches_closed_form(m21):
     params, table, fc, v_star, eig = m21
-    cf = closed_form_fixed_point(fc)
-    assert v_star.delta_g == pytest.approx(0.0, abs=1e-10)
-    assert v_star.mu == pytest.approx(cf.mu, rel=1e-10)
-    assert cf.mu == pytest.approx(6.76e-4, rel=2e-3)
+    newton = newton_fixed_point(fc, params)
+    assert v_star.delta_g == 0.0
+    assert abs(newton.delta_g) <= 1e-10
+    assert v_star.mu == pytest.approx(newton.mu, rel=1e-10)
+    assert v_star.mu == pytest.approx(6.76e-4, rel=2e-3)
     image, _ = bulk_step(v_star, fc, params)
     assert max(abs(image.delta_g - v_star.delta_g), abs(image.mu - v_star.mu)) <= 1e-12
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.sampled_from([1, 2, 3]),
+    st.floats(0.01, 1.0),
+    st.floats(0.9, 1.1),
+)
+def test_closed_forms_across_parameter_space(p, l, eps, g_rel):
+    # each closed form against a route that shares none of its code: Newton
+    # for the fixed point, LAPACK for the eigenpair, the exact eigenvalue in
+    # L and eps, and bisection on the escape side for the critical mass
+    params = make_params(p, l, eps, box_budget=10**12)
+    fc = flow_coefficients(covariance_table(params, build_matrix=False), params)
+    v_star = find_fixed_point(fc, params)
+    newton = newton_fixed_point(fc, params)
+    assert v_star.delta_g == 0.0 and abs(newton.delta_g) <= 1e-14 * abs(newton.mu)
+    assert abs(v_star.mu - newton.mu) <= 1e-14 * abs(newton.mu)
+    image, _ = bulk_step(v_star, fc, params)
+    assert image.delta_g == 0.0
+    assert abs(image.mu - v_star.mu) <= 1e-14 * fc.lam_mu_free * abs(v_star.mu)
+
+    eig = unstable_eigenpair(jacobian_at(v_star, fc))
+    vals, vecs = np.linalg.eig(eig.jacobian)
+    i_u = int(np.argmax(np.abs(vals)))
+    assert eig.alpha_u == pytest.approx(vals[i_u], rel=1e-14)
+    assert eig.lam_g == pytest.approx(vals[1 - i_u], rel=1e-14)
+    assert abs(vecs[0, i_u]) <= 1e-14 * abs(vecs[1, i_u])
+    L = float(params.L)
+    closed = L ** ((3.0 + eps) / 2.0) * (2.0 + L**-eps) / 3.0
+    assert abs(eig.alpha_u - closed) <= 1e-12 * closed
+
+    g = g_rel * fc.gbar
+    if abs(2.0 - L**eps) >= 1.0:
+        # the coupling does not contract: no stable manifold to solve for
+        with pytest.raises(DomainError):
+            critical_mass(g, fc, params)
+        return
+    mu_seq = critical_mass(g, fc, params, method="sequence")
+    mu_bis = critical_mass(g, fc, params, method="bisection")
+    assert abs(mu_seq - mu_bis) <= 1e-14 * abs(mu_bis)
 
 
 def test_fixed_point_synthetic_a2_zero(m21):
@@ -106,19 +150,6 @@ def test_unstable_eigenpair_synthetic():
 def test_no_gap_matrix():
     with pytest.raises(NoGapError):
         unstable_eigenpair(np.diag([1.0, -1.0]))
-
-
-def test_unstable_projection(m21):
-    params, table, fc, v_star, eig = m21
-    proj = unstable_projection(eig)
-    assert np.allclose(proj @ proj, proj, atol=1e-12)
-    e = np.array([eig.e_u.delta_g, eig.e_u.mu])
-    assert np.allclose(proj @ e, e, atol=1e-12)
-    assert np.allclose(proj @ eig.jacobian, eig.jacobian @ proj.T @ proj, atol=1e-9) or True
-    # annihilates the stable eigenvector
-    vals, vecs = np.linalg.eig(eig.jacobian)
-    i_s = int(np.argmin(np.abs(vals)))
-    assert np.allclose(proj @ np.real(vecs[:, i_s]), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("g_rel", [0.95, 1.0, 1.05])
@@ -196,7 +227,12 @@ def test_koenigs_identity_differential_general_direction(m21):
     # differential with respect to the argument is the spectral projection;
     # remainder after removing it is quadratically small
     params, table, fc, v_star, eig = m21
-    proj = unstable_projection(eig)
+    vals, vecs = np.linalg.eig(eig.jacobian)
+    i_u = int(np.argmax(np.abs(vals)))
+    basis = np.stack([vecs[:, 1 - i_u], vecs[:, i_u]], axis=1)
+    proj = np.real(np.outer(basis[:, 1], np.linalg.inv(basis)[1, :]))
+    assert np.allclose(proj @ proj, proj, atol=1e-12)
+    assert np.allclose(proj @ np.array([eig.e_u.delta_g, eig.e_u.mu]), [0.0, 1.0], atol=1e-12)
     wdir = np.array([1.0, 0.7])
     pw = proj @ wdir
     for z in (1e-3, 1e-4):
@@ -316,7 +352,14 @@ def test_theta_synthetic_nonzero():
     # synthetic coefficients with a coupling component in the eigenvector
     fc = FlowCoefficients(a1=1.0, a2=2.0, a3=0.5, a4=3.0, a5=4.0, gbar=0.1, lam_g=0.5, lam_mu_free=2.0)
     j = np.array([[0.5, 0.1], [-0.4, 2.0]])
-    eig = unstable_eigenpair(j)
+    with pytest.raises(NoGapError):
+        unstable_eigenpair(j)  # not lower triangular
+    vals, vecs = np.linalg.eig(j)
+    i_u = int(np.argmax(np.abs(vals)))
+    e_u = vecs[:, i_u] / vecs[1, i_u]
+    eig = EigenData(
+        alpha_u=float(vals[i_u]), e_u=BulkVector(float(e_u[0]), 1.0), lam_g=float(vals[1 - i_u]), jacobian=j
+    )
     th = theta_vector(fc, eig)
     e = np.array([eig.e_u.delta_g, eig.e_u.mu])
     rhs = 0.5 * np.array([-2 * fc.a1 * e[0] ** 2, -2 * fc.a2 * e[0] ** 2 - 2 * fc.a3 * e[0] * e[1]])
@@ -354,14 +397,3 @@ def test_escape_bracket_guard(m21):
             a1=fc.a1, a2=1e5, a3=fc.a3, a4=fc.a4, a5=fc.a5,
             gbar=fc.gbar, lam_g=fc.lam_g, lam_mu_free=fc.lam_mu_free,
         ), params)
-
-
-def test_diagnostics_norm_reporting(m21):
-    from hrg.dynamics import DiagnosticsConfig
-
-    params, table, fc, v_star, eig = m21
-    cfg = DiagnosticsConfig()
-    assert cfg.e4 == 1.5 and cfg.e_r == 21.0 / 8.0 and cfg.eta == 0.0
-    v = BulkVector(2e-4, 5e-4)
-    want = max(2e-4 * fc.gbar**-1.5, 5e-4 * fc.gbar**-1.0)
-    assert cfg.bulk_norm(v, fc.gbar) == pytest.approx(want, rel=1e-14)

@@ -7,8 +7,6 @@ from hrg.geometry import make_params
 from hrg.mc import (
     _cholesky_factor,
     _exact_box_covariance,
-    empirical_covariance,
-    estimate_free_pairing,
     exact_pairing,
     sample_hierarchical_field,
     validate,
@@ -29,14 +27,12 @@ def test_volume_and_sample_guards(p21):
         sample_hierarchical_field(p21, -1, 0, 0, 0)
     ens = sample_hierarchical_field(p21, -1, 0, 500, 0)
     with pytest.raises(SampleCountError):
-        empirical_covariance(ens)
-    with pytest.raises(SampleCountError):
-        estimate_free_pairing(ens)
+        validate(ens)
 
 
 def test_single_box_variance(p21):
     ens = sample_hierarchical_field(p21, 0, 0, 100_000, 3)
-    emp = empirical_covariance(ens)
+    emp, _ = validate(ens)
     c00 = c_r_value(p21, 0, 0)
     se = c00 * np.sqrt(2.0 / ens.n_samples)
     assert abs(emp.class_means[0] - c00) <= 3 * se
@@ -52,7 +48,7 @@ def test_box_means_centered(p21):
 
 def test_adjacent_box_covariance(p21):
     ens = sample_hierarchical_field(p21, -1, 0, 50_000, 7)
-    emp = empirical_covariance(ens)
+    emp, _ = validate(ens)
     assert emp.class_exact[1] == pytest.approx(c_r_value(p21, 0, 1), rel=1e-14)
     assert abs(emp.class_means[1] - emp.class_exact[1]) <= 3 * emp.class_se[1]
     # off-diagonal matrix entries agree with the pooled class mean
@@ -62,7 +58,7 @@ def test_adjacent_box_covariance(p21):
 
 def test_empirical_matrix_matches_exact(p21):
     ens = sample_hierarchical_field(p21, -1, 1, 60_000, 11)
-    emp = empirical_covariance(ens)
+    emp, _ = validate(ens)
     exact = _exact_box_covariance(p21, ens.levels)
     assert emp.matrix.shape == exact.shape
     assert np.max(np.abs(emp.matrix - exact)) < 0.1
@@ -71,25 +67,25 @@ def test_empirical_matrix_matches_exact(p21):
 
 def test_zero_field_synthetic(p21):
     ens = sample_hierarchical_field(p21, -1, 0, 2000, 0, method="zero")
-    emp = empirical_covariance(ens)
+    emp, _ = validate(ens)
     assert np.all(emp.matrix == 0.0)
     assert np.all(emp.class_means == 0.0)
     assert np.isinf(emp.max_z_score)  # zero spread against a nonzero target
 
 
 def test_hierarchical_vs_cholesky(p21):
-    a = empirical_covariance(sample_hierarchical_field(p21, -1, 1, 40_000, 13))
-    b = empirical_covariance(sample_hierarchical_field(p21, -1, 1, 40_000, 13, method="cholesky"))
+    a, _ = validate(sample_hierarchical_field(p21, -1, 1, 40_000, 13))
+    b, _ = validate(sample_hierarchical_field(p21, -1, 1, 40_000, 13, method="cholesky"))
     comb = np.sqrt(a.class_se**2 + b.class_se**2)
     assert np.all(np.abs(a.class_means - b.class_means) <= 5 * comb)
 
 
 def test_determinism_and_seed_sensitivity(p21):
-    e1 = empirical_covariance(sample_hierarchical_field(p21, -1, 0, 20_000, 17))
-    e2 = empirical_covariance(sample_hierarchical_field(p21, -1, 0, 20_000, 17))
+    e1, _ = validate(sample_hierarchical_field(p21, -1, 0, 20_000, 17))
+    e2, _ = validate(sample_hierarchical_field(p21, -1, 0, 20_000, 17))
     assert np.array_equal(e1.class_means, e2.class_means)
     assert np.array_equal(e1.matrix, e2.matrix)
-    e3 = empirical_covariance(sample_hierarchical_field(p21, -1, 0, 20_000, 18))
+    e3, _ = validate(sample_hierarchical_field(p21, -1, 0, 20_000, 18))
     assert not np.array_equal(e1.class_means, e3.class_means)
     comb = np.sqrt(e1.class_se**2 + e3.class_se**2)
     assert np.all(np.abs(e1.class_means - e3.class_means) <= 5 * comb)
@@ -97,10 +93,21 @@ def test_determinism_and_seed_sensitivity(p21):
 
 def test_pairing_estimate(p21):
     ens = sample_hierarchical_field(p21, -1, 1, 60_000, 19)
-    est = estimate_free_pairing(ens)
+    _, est = validate(ens)
     assert abs(est.mean - est.exact) <= 3 * est.stderr
-    emp2, est2 = validate(ens)
-    assert est2.mean == est.mean and est2.stderr == est.stderr
+    # reference: the squared weighted sum over the unit box, the leading
+    # p^(-3r) sub-ball in rescaled units, in its own pass over the batches
+    pf = float(p21.p)
+    n_sub = int(pf ** (-3 * ens.r))
+    weight = pf ** ((3 - p21.phi_dim) * ens.r)
+    total = total2 = 0.0
+    for batch in ens.batches():
+        t = (weight * batch[:, :n_sub].sum(axis=1)) ** 2
+        total += t.sum()
+        total2 += (t**2).sum()
+    mean = total / ens.n_samples
+    stderr = float(np.sqrt(max(total2 / ens.n_samples - mean**2, 0.0) / ens.n_samples))
+    assert est.mean == mean and est.stderr == stderr
 
 
 def test_exact_pairing_in_r(p21):

@@ -288,7 +288,7 @@ def test_uv_reduced_self_check_guards_bad_theta(m21):
     # and the honest theta passes the internal cross-check
     from hrg.dynamics import theta_vector
 
-    phi2_uv_reduced(fc, eig, theta_vector(fc, eig), v_star, params, fd_check=True)
+    phi2_uv_reduced(fc, eig, theta_vector(fc, eig), v_star, params)
 
 
 def test_full_report_second_eps():
@@ -307,7 +307,7 @@ def test_uv_series_assembly_matches_direct_sum(m21):
 
     params, table, fc, v_star, eig = m21
     theta = theta_vector(fc, eig)
-    uv = phi2_uv_reduced(fc, eig, theta, v_star, params, fd_check=False)
+    uv = phi2_uv_reduced(fc, eig, theta, v_star, params)
     h = 1e-3
     total = 0.0
     m_max = 8  # deeper scales fall below difference rounding at fixed stencil
