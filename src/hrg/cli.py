@@ -189,8 +189,8 @@ def _params_from(args, cfg):
 
 
 def _bulk_from(args, cfg):
-    """Parameters, scalar covariance table and flow coefficients; the bulk
-    commands never read the block matrix, so it is not built."""
+    """Parameters, scalar covariance table and flow coefficients; no command
+    reads the block matrix, so it is not built."""
     params = _params_from(args, cfg)
     table = covariance_table(params, build_matrix=False)
     return params, table, flow_coefficients(table, params)
@@ -346,12 +346,11 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_observables(args, cfg) -> str:
-    params = _params_from(args, cfg)
+    params, table, fc = _bulk_from(args, cfg)
     g_rel = _fill(args, cfg, "observables", "g_rel", float, None)
     g = _fill(args, cfg, "observables", "g", float, None)
-    table = covariance_table(params)
     if g is None and g_rel is not None:
-        g = g_rel * flow_coefficients(table, params).gbar
+        g = g_rel * fc.gbar
     report = observables.full_report(params, g_seed=g, table=table)
     return dump_report({"command": "observables", **_report_payload(report)})
 

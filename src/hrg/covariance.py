@@ -18,6 +18,7 @@ from .errors import BoxBudgetError
 from .geometry import ModelParams, distance_class_sizes, distance_exponents, shell_measure
 
 SERIES_RTOL = 1e-16
+PAIRING_RTOL = 1e-12  # the free-pairing shell sum stops once a term falls below this share
 DEFAULT_MATRIX_BUDGET = 4096
 
 
@@ -78,7 +79,7 @@ def c_infinity_value(params: ModelParams, shell: int) -> float:
     return amp * p ** (-two_phi * shell)
 
 
-def free_pairing_c_inf(params: ModelParams, ball_shell: int = 0, rtol: float = 1e-12) -> float:
+def free_pairing_c_inf(params: ModelParams, ball_shell: int = 0) -> float:
     """Pairing of the indicator of the ball |x| <= p^ball_shell with itself
     under the cut-off-free covariance.
 
@@ -94,7 +95,7 @@ def free_pairing_c_inf(params: ModelParams, ball_shell: int = 0, rtol: float = 1
         term = shell_measure(params, k) * c_infinity_value(params, k)
         total += term
         k -= 1
-        if abs(term) < rtol * abs(total) and ball_shell - k > 8:
+        if abs(term) < PAIRING_RTOL * abs(total) and ball_shell - k > 8:
             break
     return vol * total
 
@@ -104,7 +105,9 @@ class CovarianceTable:
     """Gamma shell values, moments, and the block covariance matrix.
 
     block_matrix and fluct_spectrum are None when the box count exceeds the
-    matrix budget; every scalar field is always populated.
+    matrix budget or the caller skips them; every scalar field is always
+    populated.  No computation in the package reads the matrix: it is the
+    dense reference for the class-sum routes.
     """
 
     params: ModelParams

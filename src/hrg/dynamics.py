@@ -45,6 +45,7 @@ PSI_TOL = 1e-12  # Cauchy tolerance between stages of the double iteration
 PSI_MAX_STAGES = 2000
 T_INFINITY_TOL = 1e-13
 SEMIGROUP_SHIFTS = (1, 2, 3)
+CONTRACTION_WINDOW = (20, 30)  # orbit steps whose decay ratios measure_contraction averages
 
 
 @dataclass(frozen=True)
@@ -244,10 +245,10 @@ def orbit_for_seed(v: BulkVector, fc: FlowCoefficients, params: ModelParams) -> 
     return orbit
 
 
-def measure_contraction(
-    orbit: ManifoldOrbit, n_lo: int = 20, n_hi: int = 30
-) -> float:
-    """Geometric decay ratio of the trajectory's distance to the fixed point."""
+def measure_contraction(orbit: ManifoldOrbit) -> float:
+    """Geometric decay ratio of the trajectory's distance to the fixed point,
+    averaged over the steps in CONTRACTION_WINDOW."""
+    n_lo, n_hi = CONTRACTION_WINDOW
     dists = [_diff(orbit.point(n), orbit.v_star) for n in range(n_hi + 2)]
     ratios = [dists[n + 1] / dists[n] for n in range(n_lo, n_hi) if dists[n] > 0]
     if not ratios:

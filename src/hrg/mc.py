@@ -3,8 +3,10 @@
 Samples the hierarchical Gaussian field on the rescaled lattice (unit
 boxes filling the ball of radius p^(s-r)) and compares empirical box
 covariances and the free pairing against the exact shell sums.  Streams
-are counter-based and keyed by (seed, batch), so identical inputs give
-bit-identical output regardless of batching.
+are counter-based: batch b of BATCH_SIZE samples draws from the Philox
+stream keyed by (seed, b), so identical inputs give bit-identical output.
+The batch size is fixed because the fields depend on it: the same seed cut
+into other batch sizes draws other fields.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .errors import NotPSDError, SampleCountError, VolumeError
 from .geometry import ModelParams, distance_exponents
 
 DEFAULT_VOLUME_BUDGET = 4096
-DEFAULT_MATRIX_BOXES = 1024
-DEFAULT_BATCH = 4096
+MATRIX_BOXES = 1024  # validate forms the full empirical matrix up to this box count
+BATCH_SIZE = 4096
+MATERIALIZE_CAP = 1 << 24  # samples times boxes
 
 
 @dataclass(frozen=True)
@@ -45,14 +48,14 @@ class FieldEnsemble:
     def n_boxes(self) -> int:
         return self.params.p ** (3 * self.levels)
 
-    def batches(self, batch_size: int = DEFAULT_BATCH):
+    def batches(self):
         done = 0
         idx = 0
         chol = None
         if self.method == "cholesky":
             chol = _cholesky_factor(self.params, self.levels)
         while done < self.n_samples:
-            b = min(batch_size, self.n_samples - done)
+            b = min(BATCH_SIZE, self.n_samples - done)
             rng = np.random.Generator(np.random.Philox(key=(int(self.seed) << 32) + idx))
             if self.method == "hierarchical":
                 yield _hierarchical_batch(self.params, self.levels, b, rng)
@@ -65,8 +68,8 @@ class FieldEnsemble:
             done += b
             idx += 1
 
-    def materialize(self, cap: int = 1 << 24) -> np.ndarray:
-        if self.n_samples * self.n_boxes > cap:
+    def materialize(self) -> np.ndarray:
+        if self.n_samples * self.n_boxes > MATERIALIZE_CAP:
             raise VolumeError("ensemble too large to materialize; iterate batches instead")
         return np.concatenate(list(self.batches()), axis=0)
 
@@ -161,11 +164,7 @@ def _class_aggregates(x: np.ndarray, p: int, levels: int) -> np.ndarray:
     return out
 
 
-def validate(
-    ens: FieldEnsemble,
-    batch_size: int = DEFAULT_BATCH,
-    matrix_boxes: int = DEFAULT_MATRIX_BOXES,
-) -> tuple:
+def validate(ens: FieldEnsemble) -> tuple:
     """One pass over the ensemble: (EmpiricalCovariance, PairingEstimate).
 
     Class statistics pool every ordered box pair at the same tree distance,
@@ -184,14 +183,14 @@ def validate(
 
     agg = np.zeros(levels + 1)
     agg2 = np.zeros(levels + 1)
-    want_matrix = n_boxes <= matrix_boxes
+    want_matrix = n_boxes <= MATRIX_BOXES
     xtx = np.zeros((n_boxes, n_boxes)) if want_matrix else None
     xsum = np.zeros(n_boxes) if want_matrix else None
     n_sub = int(float(p) ** (-3 * ens.r))
     weight = float(p) ** ((3 - ens.params.phi_dim) * ens.r)
     pair_sum = 0.0
     pair_sum2 = 0.0
-    for batch in ens.batches(batch_size):
+    for batch in ens.batches():
         a = _class_aggregates(batch, p, levels)
         agg += a.sum(axis=0)
         agg2 += (a**2).sum(axis=0)

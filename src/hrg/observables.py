@@ -4,9 +4,10 @@ The composite-field two-point value splits into an ultraviolet geometric
 series driven by the unstable eigenvalue and an infrared series over
 contracting deviation iterates; the anomalous dimension is read off the
 eigenvalue.  The deviation step at the fixed point is exactly linear plus
-bilinear, so the infrared and one-point series are summed in closed form
-over the orbit's first and second z-jets; the reports carry the residuals
-of those solves and of the polarization instead of pretending exactness.
+bilinear, with closed-form coefficients, so the infrared and one-point
+series are summed in closed form over the orbit's first and second z-jets;
+the reports carry the residuals of those solves and of the closed-form step
+against one direct block step instead of pretending exactness.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .rg import (
 U_SERIES_RTOL = 1e-14  # stop the u4 scale series once a term falls below this share
 FD_H = 1e-3  # step of the Richardson second difference checking the UV piece
 FD_CHECK_RTOL = 1e-6
+XI_TOL = 1e-14  # the Xi sequence has settled once successive terms agree to this share
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class NormalizationSet:
 class IRSeriesResult:
     value: float
     solve_residual: float  # relative, Stein and (I - M) solves
-    polarization_residual: float
-    n_terms: int  # block steps the closed form was polarized from
+    step_residual: float  # relative, closed-form step against one direct deviation_step
+    n_terms: int  # block steps run: the deviated and the bulk block of that one step
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,9 @@ def _point_seed(v: BulkVector) -> np.ndarray:
     return np.array([v.delta_g, 0.0, v.mu, 0.0, 0.0, 0.0])
 
 
-def _polarization_residual(dq: DeviationQuadratic, v_star, fc, table, params) -> float:
-    """Relative residual of the polarized step against one direct
-    deviation_step at a generic point."""
+def _step_residual(dq: DeviationQuadratic, v_star, fc, table, params) -> float:
+    """Relative residual of the closed-form step against one direct
+    deviation_step (two block steps) at a generic point."""
     probe = np.linspace(1.0, -0.5, 6)
     direct = deviation_step(v_star, DeviationVector(*probe), fc, table, params).as_array()[:6]
     return float(np.max(np.abs(dq.step(probe) - direct)) / np.max(np.abs(direct)))
@@ -226,8 +228,8 @@ def phi2_ir_reduced(
     return IRSeriesResult(
         value=2.0 * float(dq.c @ b_sum + np.sum(dq.r * a_sum)),
         solve_residual=max(res_a, res_b),
-        polarization_residual=_polarization_residual(dq, v_star, fc, table, params),
-        n_terms=dq.block_steps,
+        step_residual=_step_residual(dq, v_star, fc, table, params),
+        n_terms=2,
     )
 
 
@@ -236,7 +238,6 @@ def xi_sequence_limit(
     fc: FlowCoefficients,
     params: ModelParams,
     eig: EigenData,
-    tol: float = 1e-14,
 ):
     """Xi_n along a shadowed manifold orbit and its limit.
 
@@ -252,7 +253,7 @@ def xi_sequence_limit(
         cur = orbit.point(n)
         xi = float(delta_b_gradient(cur, fc) @ y)
         xis.append(xi)
-        if prev is not None and abs(xi - prev) < tol * max(1.0, abs(xi)) and n > n_floor:
+        if prev is not None and abs(xi - prev) < XI_TOL * max(1.0, abs(xi)) and n > n_floor:
             return xis, xi
         prev = xi
         y = (jacobian_at(cur, fc) @ y) / eig.alpha_u
@@ -260,14 +261,14 @@ def xi_sequence_limit(
 
 
 def normalization_constants(
-    fc: FlowCoefficients,
     eig: EigenData,
     params: ModelParams,
-    orbit: ManifoldOrbit,
+    xis: list,
     kappa: float,
     reduced_sum: float,
 ) -> NormalizationSet:
-    """Z-type constants; the two-point normalization fixes y2 and then y0."""
+    """Z-type constants from the Xi sequence of the seed orbit; the
+    two-point normalization fixes y2 and then y0."""
     L = float(params.L)
     z2 = eig.alpha_u * L ** (-(3.0 - 2.0 * params.phi_dim))
     z0 = eig.alpha_u / L**3
@@ -275,7 +276,6 @@ def normalization_constants(
         raise SeriesDivergenceError("L^-3 alpha_u >= 1: the one-point series diverges")
     if reduced_sum <= 0.0:
         raise SeriesDivergenceError("reduced two-point sum must be positive")
-    xis, _ = xi_sequence_limit(orbit, fc, params, eig)
     upsilon = 0.0
     w = 1.0
     for xi in xis:
@@ -289,30 +289,24 @@ def normalization_constants(
 
 
 def one_point_residual(
-    fc: FlowCoefficients,
+    dq: DeviationQuadratic,
     eig: EigenData,
-    table: CovarianceTable,
     params: ModelParams,
-    v_star: BulkVector,
-    orbit: ManifoldOrbit,
+    xi_inf: float,
     norms: NormalizationSet,
-    dq: DeviationQuadratic | None = None,
 ) -> float:
     """First z-derivative of the assembled log-moment generator of the
     composite field at the unit box; vanishes identically in the limit.
 
     The ultraviolet part is evaluated in its stable tail form (the
     cancellation against the y0 counter-normalization is algebraically
-    built in).  The infrared part follows the deviation orbit seeded with
-    the conjugating map at the seed point along -y2 z e_phi2, whose first
-    jet is a_0 = -y2 kappa e_u: the jets a_q = M^q a_0 sum to
-    c.(I - M)^-1 a_0.
+    built in); xi_inf is the Xi limit along the physical seed orbit, so it
+    carries the seed's kappa.  The infrared part follows the deviation
+    orbit seeded with the conjugating map at the seed point along
+    -y2 z e_phi2, whose first jet is a_0 = -y2 kappa e_u: the jets
+    a_q = M^q a_0 sum to c.(I - M)^-1 a_0.
     """
-    # Xi runs along the physical seed orbit; its limit carries the seed's kappa
-    _, xi_inf = xi_sequence_limit(orbit, fc, params, eig)
     uv = norms.y2 * (float(params.L) ** -3) * xi_inf / (1.0 - norms.z0)
-    if dq is None:
-        dq = deviation_quadratic(v_star, fc, table, params)
     a0 = -norms.y2 * norms.kappa * _point_seed(eig.e_u)
     return uv + float(dq.c @ np.linalg.solve(np.eye(a0.size) - dq.m, a0))
 
@@ -324,7 +318,7 @@ def full_report(params: ModelParams, g_seed: float | None = None, table: Covaria
     normalization constants; physical outputs must not depend on it.
     """
     if table is None:
-        table = covariance_table(params)
+        table = covariance_table(params, build_matrix=False)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     eig = unstable_eigenpair(jacobian_at(v_star, fc))
@@ -343,15 +337,16 @@ def full_report(params: ModelParams, g_seed: float | None = None, table: Covaria
     _, kappa = t_infinity(v_seed, E_PHI2, fc, params, orbit=orbit)
     if kappa == 0.0:
         raise SeriesDivergenceError("kappa vanished; composite normalization undefined")
-    norms = normalization_constants(fc, eig, params, orbit, kappa, reduced_sum)
+    xis, xi_inf = xi_sequence_limit(orbit, fc, params, eig)
+    norms = normalization_constants(eig, params, xis, kappa, reduced_sum)
     two_point = norms.y2**2 * kappa**2 * reduced_sum
-    residual = one_point_residual(fc, eig, table, params, v_star, orbit, norms, dq=dq)
+    residual = one_point_residual(dq, eig, params, xi_inf, norms)
 
     gbar = fc.gbar
     bands = {
         "implicit_order": float(params.L) ** 8 * gbar**2,
         "ir_tail": ir.solve_residual,
-        "ir_stencil": ir.polarization_residual,
+        "ir_stencil": ir.step_residual,
     }
     return ObservableReport(
         eta_phi2=eta,

@@ -3,16 +3,19 @@
 The bulk flow acts on spatially uniform couplings (delta_g, mu) with the
 remainder coordinate pinned to ZERO (second-order truncation mode).  The
 block engine evaluates the inhomogeneous second-order counterterms for one
-L-block with arbitrary per-box couplings; all spatial integrals are exact
-sums over box tuples weighted by powers of the fluctuation covariance,
-which is forced by local constancy on ultrametric distance classes.  Two
-independent oracles (a Wick-contraction cumulant expansion and a Monte
+L-block with arbitrary per-box couplings.  Every graph is a sum over box
+pairs weighted by a power of the fluctuation covariance, which is constant
+on ultrametric distance classes, so it telescopes into sums over the
+blocks of each level: the cost grows linearly with the box count and no
+box-by-box matrix is formed.  The deviation flow at f = 0 needs even less:
+its linear and bilinear parts are closed forms in the covariance moments.
+Two independent oracles (a Wick-contraction cumulant expansion and a Monte
 Carlo block integral) validate the explicit coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb, factorial
 
 import numpy as np
@@ -112,11 +115,11 @@ def flow_coefficients(table: CovarianceTable, params: ModelParams) -> FlowCoeffi
     )
 
 
-def bulk_step(v: BulkVector, fc: FlowCoefficients, params: ModelParams, guard: float = BLOWUP_GUARD):
+def bulk_step(v: BulkVector, fc: FlowCoefficients, params: ModelParams):
     """One bulk RG step; returns the new vector and the vacuum term delta_b."""
     _require_zero_remainder(v)
-    if abs(v.delta_g) > guard or abs(v.mu) > guard:
-        raise BlowUpError(f"couplings {v.delta_g}, {v.mu} outside guard {guard}")
+    if abs(v.delta_g) > BLOWUP_GUARD or abs(v.mu) > BLOWUP_GUARD:
+        raise BlowUpError(f"couplings {v.delta_g}, {v.mu} outside guard {BLOWUP_GUARD}")
     g = fc.gbar + v.delta_g
     delta_g_new = fc.lam_g * v.delta_g - fc.a1 * v.delta_g**2
     mu_new = fc.lam_mu_free * v.mu - fc.a2 * g * g - fc.a3 * g * v.mu
@@ -163,23 +166,10 @@ class BlockCouplings:
 
     def with_deviation(self, dv: DeviationVector) -> "BlockCouplings":
         """Copy with a point deviation added on the origin box (index 0)."""
-        out = BlockCouplings(
-            beta4=self.beta4.copy(),
-            beta3=self.beta3.copy(),
-            beta2=self.beta2.copy(),
-            beta1=self.beta1.copy(),
-            w5=self.w5.copy(),
-            w6=self.w6.copy(),
-            f=self.f.copy(),
-        )
-        out.beta4[0] += dv.beta4_dot
-        out.beta3[0] += dv.beta3_dot
-        out.beta2[0] += dv.beta2_dot
-        out.beta1[0] += dv.beta1_dot
-        out.w5[0] += dv.w5_dot
-        out.w6[0] += dv.w6_dot
-        out.f[0] += dv.f_dot
-        return out
+        arrays = [getattr(self, f.name).copy() for f in fields(self)]
+        for values, dot in zip(arrays, dv.as_array()):  # both in the order beta4, ..., w6, f
+            values[0] += dot
+        return BlockCouplings(*arrays)
 
     def beta(self, degree: int) -> np.ndarray:
         return {4: self.beta4, 3: self.beta3, 2: self.beta2, 1: self.beta1}[degree]
@@ -205,9 +195,85 @@ class BlockOutput:
         return np.array([self.beta4, self.beta3, self.beta2, self.beta1, self.w5, self.w6, self.f])
 
 
-def _require_matrix(table: CovarianceTable):
-    if table.block_matrix is None:
-        raise DomainError("block engine needs the covariance matrix; rebuild the table with build_matrix=True")
+def _level_weights(table: CovarianceTable) -> np.ndarray:
+    """w[i, m] = gamma_i^m - gamma_{i+1}^m for levels i = 0..l and powers
+    m = 0..4, with gamma_0 the ball value, gamma_i (i >= 1) the shell values
+    and gamma_{l+1} = 0; the m = 0 column vanishes."""
+    gam = np.array([table.gamma_ball, *table.gamma_shell, 0.0])[:, None] ** np.arange(5)
+    return gam[:-1] - gam[1:]
+
+
+def _level_sums(v: np.ndarray, params: ModelParams):
+    """v summed (along its last axis) over the blocks of level i = 0..l;
+    in tree order a level-i block is p^(3i) consecutive boxes."""
+    base = params.p**3
+    for i in range(params.l + 1):
+        if i:
+            v = v.reshape(*v.shape[:-1], -1, base).sum(axis=-1)
+        yield v
+
+
+def _class_grams(rows: np.ndarray, table: CovarianceTable, params: ModelParams) -> np.ndarray:
+    """g[m, r, s] = rows[r]^T G^m rows[s] for m = 0..4 (g[0] = 0).
+
+    Two boxes at distance class k share exactly the blocks of levels
+    i >= k, so u^T G^m v = sum_i (gamma_i^m - gamma_{i+1}^m) <B_i u, B_i v>
+    with B_i the level-i block sums.
+    """
+    w = _level_weights(table)
+    return sum(w[i][:, None, None] * (s @ s.T) for i, s in enumerate(_level_sums(rows, params)))
+
+
+def _gamma_apply(f: np.ndarray, table: CovarianceTable, params: ModelParams) -> np.ndarray:
+    """G f by the same identity: each level adds its weight times the block
+    sum to every box of the block."""
+    w = _level_weights(table)[:, 1]
+    out = np.zeros(f.size)
+    for i, s in enumerate(_level_sums(f, params)):
+        out.reshape(s.size, -1)[...] += w[i] * s[:, None]
+    return out
+
+
+def _leg_row(degree: int, free_legs: int) -> int:
+    """Row of beta_degree * (G f)^free_legs among the 16 graph vertices."""
+    return 4 * (degree - 1) + free_legs
+
+
+def _pair_graph_table():
+    """Parameter-free parts of the order-2 graphs, as (coef, order).
+
+    For vertices beta_(a1+b1) and beta_(a2+b2) (rows r, s as in _leg_row)
+    joined by m lines, coef[k, r, s, m] = base * connection_coeff(a1, a2, k) / 2,
+    base counting the ways to pick and pair the legs, and
+    order[r, s, m] = a1 + a2 gives the graph's powers of L^-phi and c0.
+    """
+    coef = np.zeros((5, 16, 16, 5))
+    order = np.zeros((16, 16, 5), dtype=int)
+    pairs = [(a, b) for b in range(1, 5) for a in range(0, 5 - b)]
+    for a1, b1 in pairs:
+        for a2, b2 in pairs:
+            for m in range(1, min(b1, b2) + 1):
+                base = (
+                    factorial(a1 + b1)
+                    * factorial(a2 + b2)
+                    / (factorial(a1) * factorial(a2) * factorial(m) * factorial(b1 - m) * factorial(b2 - m))
+                )
+                r, s = _leg_row(a1 + b1, b1 - m), _leg_row(a2 + b2, b2 - m)
+                order[r, s, m] = a1 + a2
+                for k in range(5):
+                    coef[k, r, s, m] = 0.5 * base * connection_coeff(a1, a2, k)
+    return coef, order
+
+
+_PAIR_COEF, _PAIR_ORDER = _pair_graph_table()
+
+
+def _graph_weights(params: ModelParams, c0: float) -> np.ndarray:
+    """W[k, r, s, m]: coefficient in dbeta2[k] of the order-2 graph
+    row_r^T G^m row_s, where the vertices beta_(a+b) meet through m of
+    their b legs and hang the others on G f (rows as in _leg_row)."""
+    k = np.arange(5)[:, None, None, None]
+    return _PAIR_COEF * float(params.L) ** (-params.phi_dim * _PAIR_ORDER) * c0 ** ((_PAIR_ORDER - k) // 2)
 
 
 def second_order_counterterms(bc: BlockCouplings, table: CovarianceTable, params: ModelParams):
@@ -216,82 +282,35 @@ def second_order_counterterms(bc: BlockCouplings, table: CovarianceTable, params
     Returns (dbeta1, dbeta2, w5_out, w6_out, f_out) where the dicts map
     k=0..4 to the counterterm values; the k=0 entries are the vacuum
     contributions.  Graph sums run over box tuples weighted by powers of
-    the fluctuation covariance at the pair distance.
+    the fluctuation covariance at the pair distance, evaluated level by
+    level (_class_grams, _gamma_apply).
     """
-    _require_matrix(table)
-    G = table.block_matrix
     L = float(params.L)
     phi = params.phi_dim
-    c0 = table.c0_zero
-    gf = G @ bc.f
-    gpow = {m: G**m for m in range(1, 5)}
-
+    gf = _gamma_apply(bc.f, table, params)
+    rows = np.stack([bc.beta(d) * gf**e for d in range(1, 5) for e in range(4)])
+    grams = _class_grams(rows, table, params)
+    pair = np.einsum("krsm,mrs->k", _graph_weights(params, table.c0_zero), grams)
     dbeta1 = {k: 0.0 for k in range(5)}
+    dbeta2 = {k: float(pair[k]) for k in range(5)}
+    # one vertex with all its other legs on G f: order 1 for beta, order 2 for W
     for k in range(5):
-        for b in range(1, 5):
-            if k + b > 4:
-                continue
-            vertex = bc.beta(k + b)
-            graph = float(np.sum(vertex * gf**b))
-            if graph == 0.0:
-                continue
-            coef = factorial(k + b) / (factorial(k) * factorial(b))
-            dbeta1[k] -= coef * L ** (-k * phi) * graph
+        for d in range(k + 1, 7):
+            vertex = bc.beta(d) if d <= 4 else bc.w(d)
+            graph = comb(d, k) * L ** (-k * phi) * float(np.sum(vertex * gf ** (d - k)))
+            if d <= 4:
+                dbeta1[k] -= graph
+            else:
+                dbeta2[k] += graph
 
-    dbeta2 = {k: 0.0 for k in range(5)}
-    pairs = [(a, b) for b in range(1, 5) for a in range(0, 5 - b)]
-    for a1, b1 in pairs:
-        v1 = bc.beta(a1 + b1)
-        for a2, b2 in pairs:
-            v2 = bc.beta(a2 + b2)
-            for m in range(1, min(b1, b2) + 1):
-                left = v1 * gf ** (b1 - m)
-                right = v2 * gf ** (b2 - m)
-                graph = float(left @ gpow[m] @ right)
-                if graph == 0.0:
-                    continue
-                base = (
-                    factorial(a1 + b1)
-                    * factorial(a2 + b2)
-                    / (
-                        factorial(a1)
-                        * factorial(a2)
-                        * factorial(m)
-                        * factorial(b1 - m)
-                        * factorial(b2 - m)
-                    )
-                )
-                for k in range(5):
-                    cc = connection_coeff(a1, a2, k)
-                    if cc == 0:
-                        continue
-                    dbeta2[k] += (
-                        0.5
-                        * base
-                        * cc
-                        * L ** (-(a1 + a2) * phi)
-                        * c0 ** ((a1 + a2 - k) // 2)
-                        * graph
-                    )
-    # legs hanging off the W couplings
-    for k in range(5):
-        for b in range(1, 7):
-            if k + b not in (5, 6):
-                continue
-            graph = float(np.sum(bc.w(k + b) * gf**b))
-            if graph == 0.0:
-                continue
-            coef = factorial(k + b) / (factorial(k) * factorial(b))
-            dbeta2[k] += coef * L ** (-k * phi) * graph
-
-    w6_out = L ** (3 - 6 * phi) * float(np.mean(bc.w6)) + 8.0 * L ** (-6 * phi) * float(
-        bc.beta4 @ G @ bc.beta4
-    )
+    g1 = grams[1]
+    b4, b3, b4_leg = _leg_row(4, 0), _leg_row(3, 0), _leg_row(4, 1)
+    w6_out = L ** (3 - 6 * phi) * float(np.mean(bc.w6)) + 8.0 * L ** (-6 * phi) * float(g1[b4, b4])
     w5_out = (
         L ** (3 - 5 * phi) * float(np.mean(bc.w5))
         + 6.0 * L ** (-5 * phi) * float(bc.w6 @ gf)
-        + 12.0 * L ** (-5 * phi) * float(bc.beta4 @ G @ bc.beta3)
-        + 48.0 * L ** (-5 * phi) * float(np.sum(bc.beta4 * (G @ bc.beta4) * gf))
+        + 12.0 * L ** (-5 * phi) * float(g1[b4, b3])
+        + 48.0 * L ** (-5 * phi) * float(g1[b4_leg, b4])
     )
     f_out = L ** (3 - phi) * float(np.mean(bc.f))
     return dbeta1, dbeta2, w5_out, w6_out, f_out
@@ -302,19 +321,8 @@ def block_step(bc: BlockCouplings, table: CovarianceTable, params: ModelParams) 
     L = float(params.L)
     phi = params.phi_dim
     dbeta1, dbeta2, w5_out, w6_out, f_out = second_order_counterterms(bc, table, params)
-    betas = {}
-    for k in range(1, 5):
-        betas[k] = L ** (3 - k * phi) * float(np.mean(bc.beta(k))) - dbeta1[k] - dbeta2[k]
-    return BlockOutput(
-        beta4=betas[4],
-        beta3=betas[3],
-        beta2=betas[2],
-        beta1=betas[1],
-        w5=w5_out,
-        w6=w6_out,
-        f=f_out,
-        delta_b=dbeta1[0] + dbeta2[0],
-    )
+    betas = [L ** (3 - k * phi) * float(np.mean(bc.beta(k))) - dbeta1[k] - dbeta2[k] for k in (4, 3, 2, 1)]
+    return BlockOutput(*betas, w5=w5_out, w6=w6_out, f=f_out, delta_b=dbeta1[0] + dbeta2[0])
 
 
 def _deviated_and_bulk(v_bk: BulkVector, vd: DeviationVector, fc, table, params):
@@ -364,7 +372,6 @@ class DeviationQuadratic:
     c: np.ndarray  # (6,)
     r: np.ndarray  # (6, 6), symmetric
     lam_f: float
-    block_steps: int
 
     def step(self, x: np.ndarray) -> np.ndarray:
         return self.m @ x + np.einsum("kij,i,j->k", self.q, x, x)
@@ -380,37 +387,37 @@ def deviation_quadratic(
     table: CovarianceTable,
     params: ModelParams,
 ) -> DeviationQuadratic:
-    """Polarize the deviation step at v_bk exactly from 28 block steps: the
-    bulk block, +-e_i for the linear and diagonal terms and e_i + e_j for
-    the cross terms."""
+    """M, Q, c and R at v_bk in closed form from the covariance moments.
+
+    At f = 0 only the graphs u^T G^m v with all m legs paired survive, plus
+    the W graphs 8 beta4^T G beta4 and 12 beta4^T G beta3.  For couplings
+    h 1 + d e_0 (the bulk value on every box plus the deviation on the
+    origin box) each is n S_m h_u h_v + S_m (h_u d_v + d_u h_v) +
+    gamma_ball^m d_u d_v, with S_m the row sum of G^m, and the block means
+    are h + d/n.  Nothing depends on per-box arrays, so the cost does not
+    grow with the box count.
+    """
     _require_zero_remainder(v_bk)
-    hom = BlockCouplings.homogeneous(params, fc.gbar + v_bk.delta_g, v_bk.mu)
+    L = float(params.L)
+    phi = params.phi_dim
+    # outputs (beta4, beta3, beta2, beta1, w5, w6, delta_b) as t[out, u, v, m] times u^T G^m v
+    # over the couplings (beta4, beta3, beta2, beta1, w5, w6); beta_d sits in slot 4 - d
+    w = _graph_weights(params, table.c0_zero)
+    vertex = [_leg_row(d, 0) for d in (4, 3, 2, 1)]
+    t = np.zeros((7, 6, 6, 5))
+    pair = w[:, vertex][:, :, vertex]
+    t[:4, :4, :4] = -pair[4:0:-1]
+    t[6, :4, :4] = pair[0]
+    t[4, 0, 1, 1] = 12.0 * L ** (-5 * phi)
+    t[5, 0, 0, 1] = 8.0 * L ** (-6 * phi)
+    t = (t + t.swapaxes(1, 2)) / 2.0
 
-    def outputs(bc: BlockCouplings) -> np.ndarray:
-        out = block_step(bc, table, params)
-        return np.append(out.as_array()[:6], out.delta_b)
-
-    base = outputs(hom)
-    n = 6
-    eye = np.eye(n)
-    plus = [outputs(hom.with_deviation(DeviationVector(*e))) - base for e in eye]
-    minus = [outputs(hom.with_deviation(DeviationVector(*-e))) - base for e in eye]
-    lin = (np.stack(plus, axis=1) - np.stack(minus, axis=1)) / 2.0
-    quad = np.zeros((n + 1, n, n))
-    for i in range(n):
-        quad[:, i, i] = (plus[i] + minus[i]) / 2.0
-        for j in range(i):
-            # step(e_i + e_j) - step(e_i) - step(e_j) = 2 Q(e_i, e_j)
-            both = outputs(hom.with_deviation(DeviationVector(*(eye[i] + eye[j])))) - base
-            quad[:, i, j] = quad[:, j, i] = (both - plus[i] - plus[j]) / 2.0
-    return DeviationQuadratic(
-        m=lin[:n],
-        q=quad[:n],
-        c=lin[n],
-        r=quad[n],
-        lam_f=float(params.L) ** -params.phi_dim,
-        block_steps=1 + n * (n + 3) // 2,
-    )
+    h = np.array([fc.gbar + v_bk.delta_g, 0.0, v_bk.mu, 0.0, 0.0, 0.0])
+    s_m = np.array([0.0] + [table.s_moments[m] for m in range(1, 5)])
+    lin = 2.0 * np.einsum("oijm,m,i->oj", t, s_m, h)
+    lin[:6] += np.diag(L ** (3 - phi * np.array([4.0, 3.0, 2.0, 1.0, 5.0, 6.0])) / params.n_boxes)
+    quad = t @ table.gamma_ball ** np.arange(5)
+    return DeviationQuadratic(m=lin[:6], q=quad[:6], c=lin[6], r=quad[6], lam_f=L**-phi)
 
 
 def uv_explicit_series(
@@ -454,27 +461,6 @@ def uv_explicit_series(
     return beta_exp, db_exp
 
 
-def _pair_power_sums(table: CovarianceTable, params: ModelParams, m_max: int):
-    """sum over ordered box pairs of Gamma(distance)^m, m = 1..m_max."""
-    out = {}
-    if table.block_matrix is not None:
-        G = table.block_matrix
-        for m in range(1, m_max + 1):
-            out[m] = float(np.sum(G**m))
-        return out
-    # beyond the matrix budget: exact distance-class counts
-    from .geometry import distance_class_sizes
-
-    sizes = distance_class_sizes(params)
-    n = params.n_boxes
-    for m in range(1, m_max + 1):
-        row = table.gamma_ball**m + sum(
-            table.gamma_shell[i] ** m * sizes[i] for i in range(params.l)
-        )
-        out[m] = n * row
-    return out
-
-
 def cumulant_oracle(table: CovarianceTable, params: ModelParams) -> FlowCoefficients:
     """Independent derivation of the flow coefficients.
 
@@ -490,7 +476,7 @@ def cumulant_oracle(table: CovarianceTable, params: ModelParams) -> FlowCoeffici
     lam = L**-phi
     c0 = table.c0_zero
     c1 = c0 * lam**2
-    pair_sums = _pair_power_sums(table, params, 4)
+    pair_sums = {m: params.n_boxes * table.s_moments[m] for m in range(1, 5)}  # sums of Gamma^m over box pairs
 
     def counterterms(g: float, mu: float) -> dict:
         beta = {4: g, 2: mu}
@@ -549,21 +535,16 @@ class FunctionalStepResult:
     stderr: np.ndarray
 
 
-def sample_block_fluctuation(params: ModelParams, table: CovarianceTable, n: int, seed: int) -> np.ndarray:
-    """n draws of the mean-zero block fluctuation over the L^3 boxes.
-
-    For one level the draw is sigma * (xi - mean(xi)) with iid standard
-    normals, which reproduces the covariance matrix exactly; deeper blocks
-    use its eigenfactorization.
-    """
-    return _batch_fluctuation(params, table, n, int(seed))
+def sample_block_fluctuation(params: ModelParams, n: int, seed: int) -> np.ndarray:
+    """n draws of the mean-zero block fluctuation over the L^3 boxes, built
+    from independent centered increments on every level of the block."""
+    return _batch_fluctuation(params, n, int(seed))
 
 
 def functional_block_step(
     z_fn,
     phi_grid: np.ndarray,
     params: ModelParams,
-    table: CovarianceTable,
     quad: QuadratureConfig,
 ) -> FunctionalStepResult:
     """Nonperturbative single-block step: averages the product of per-box
@@ -589,7 +570,7 @@ def functional_block_step(
     while done < quad.n_samples:
         b = min(quad.batch, quad.n_samples - done)
         rng_key = (int(quad.seed) << 32) + batch_idx
-        zeta = _batch_fluctuation(params, table, b, rng_key)
+        zeta = _batch_fluctuation(params, b, rng_key)
         for j, phi0 in enumerate(phi_grid):
             vals = z_fn(lam * phi0 + zeta)
             if np.any(vals <= 0.0):
@@ -614,29 +595,31 @@ def functional_block_step(
     )
 
 
-def _batch_fluctuation(params: ModelParams, table: CovarianceTable, n: int, key: int) -> np.ndarray:
+def _batch_fluctuation(params: ModelParams, n: int, key: int) -> np.ndarray:
+    """Scale by scale: at each level i < l every group of p^3 sibling
+    level-i blocks gets centered iid normal increments weighted p^(-i phi),
+    which reproduces Gamma on every distance class exactly."""
     rng = np.random.Generator(np.random.Philox(key=key))
+    base = params.p**3
     nb = params.n_boxes
-    if params.l == 1:
-        sigma = np.sqrt(table.gamma_ball - table.gamma_shell[0])
-        xi = rng.standard_normal((n, nb))
-        return sigma * (xi - xi.mean(axis=1, keepdims=True))
-    _require_matrix(table)
-    vals, vecs = np.linalg.eigh(table.block_matrix)
-    vals = np.clip(vals, 0.0, None)
-    xi = rng.standard_normal((n, nb))
-    return xi @ (vecs * np.sqrt(vals)).T
+    out = np.zeros((n, nb))
+    for i in range(params.l):
+        xi = rng.standard_normal((n, nb // base ** (i + 1), base))
+        xi -= xi.mean(axis=2, keepdims=True)
+        scale = float(params.p) ** (-i * params.phi_dim)
+        out.reshape(n, nb // base**i, base**i)[...] += scale * xi.reshape(n, -1, 1)
+    return out
 
 
-def extract_couplings(phi_grid: np.ndarray, minus_log_z: np.ndarray, c0: float, kmax: int = 4) -> dict:
-    """Least-squares projection of -log(z) onto the Wick basis at c0.
+def extract_couplings(phi_grid: np.ndarray, minus_log_z: np.ndarray, c0: float) -> dict:
+    """Least-squares projection of -log(z) onto the Wick basis :phi^k:, k = 0..4, at c0.
 
     The vacuum split is a convention: the k=0 entry absorbs whatever
     constant the normalization left behind.
     """
     cols = []
-    for k in range(kmax + 1):
+    for k in range(5):
         cols.append(evaluate(WickPoly(c=c0, coeffs={k: 1.0}), phi_grid))
     design = np.stack(cols, axis=1)
     sol, *_ = np.linalg.lstsq(design, minus_log_z, rcond=None)
-    return {k: float(sol[k]) for k in range(kmax + 1)}
+    return {k: float(sol[k]) for k in range(5)}

@@ -179,7 +179,8 @@ def test_ir_reduced_matches_richardson_oracle(point):
     ir = phi2_ir_reduced(fc, eig, table, params, v_star)
     assert isinstance(ir, IRSeriesResult)
     assert ir.solve_residual < 1e-13
-    assert ir.polarization_residual < 1e-13
+    assert ir.step_residual < 1e-13
+    assert ir.n_terms == 2
     oracle, tail = _richardson_ir_oracle(fc, eig, table, params, v_star)
     assert tail < 1e-6
     assert abs(ir.value - oracle) <= tail
@@ -323,6 +324,32 @@ def test_uv_series_assembly_matches_direct_sum(m21):
         total += float(params.L) ** (3 * (m - 1)) * d2
     partial = uv * (1.0 - (params.L**3 / eig.alpha_u**2) ** m_max)
     assert total == pytest.approx(partial, rel=1e-6)
+
+
+@pytest.mark.parametrize("point", [(7, 1, 0.1), (3, 2, 0.1)], ids=lambda p: "-".join(map(str, p)))
+def test_full_report_needs_no_block_matrix(point, monkeypatch):
+    # the report builds no dense matrix, and only the one direct deviation
+    # step behind ir_stencil runs the block engine
+    import hrg.observables
+    import hrg.rg
+
+    tables, steps = [], []
+    build_table, block_step = hrg.observables.covariance_table, hrg.rg.block_step
+
+    def recording_table(*args, **kwargs):
+        tables.append(build_table(*args, **kwargs))
+        return tables[-1]
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return block_step(*args, **kwargs)
+
+    monkeypatch.setattr(hrg.observables, "covariance_table", recording_table)
+    monkeypatch.setattr(hrg.rg, "block_step", counting_step)
+    report = full_report(make_params(*point))
+    assert len(tables) == 1 and tables[0].block_matrix is None
+    assert len(steps) <= 2
+    assert report.two_point_normalized == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ir_reduced_contraction_guard(m21):

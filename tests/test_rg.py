@@ -25,6 +25,7 @@ from hrg.rg import (
     uv_explicit_series,
 )
 from hrg.wick import connection_coeff
+from oracles import dense_block_outputs, dense_counterterms, dense_deviation_quadratic, dense_powers
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +351,8 @@ def test_deviation_quadratic_reproduces_dense_step(point):
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     dq = deviation_quadratic(v_star, fc, table, params)
-    assert dq.block_steps == 28
+    for got, want in zip((dq.m, dq.q, dq.c, dq.r), dense_deviation_quadratic(v_star, fc, table, params)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     rng = np.random.default_rng(7)
     # below scale 0.1 the oracle's own difference of two block vacua
     # (rounding about eps * |delta_b| ~ 1e-18) exceeds 1e-12 of the result
@@ -363,6 +365,46 @@ def test_deviation_quadratic_reproduces_dense_step(point):
             assert np.max(np.abs(dq.step(x) - direct[:6])) <= 1e-12 * np.max(np.abs(direct))
             vac = deviation_vacuum(v_star, dv, fc, table, params)
             assert abs(dq.c @ x + x @ dq.r @ x - vac) <= 1e-12 * abs(vac)
+
+
+# every (p, l) whose dense block matrix has at most 729 x 729 entries
+DENSE_PL = [(p, l) for p in (2, 3, 5, 7) for l in (1, 2, 3) if p ** (3 * l) <= 729]
+
+
+@pytest.mark.parametrize("p,l", DENSE_PL, ids=lambda v: str(v))
+def test_deviation_quadratic_matches_dense_polarization(p, l):
+    # the closed-form M, Q, c and R against 28 dense block steps, at the
+    # fixed point and off it, for a small and a large eps
+    from hrg.dynamics import find_fixed_point
+
+    for eps in (0.05, 0.5):
+        params = make_params(p, l, eps)
+        table = covariance_table(params)
+        fc = flow_coefficients(table, params)
+        v_star = find_fixed_point(fc, params)
+        for v in (v_star, BulkVector(0.3 * fc.gbar, -2.0 * v_star.mu)):
+            dq = deviation_quadratic(v, fc, table, params)
+            for got, want in zip((dq.m, dq.q, dq.c, dq.r), dense_deviation_quadratic(v, fc, table, params)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (eps, v)
+
+
+@pytest.mark.parametrize("p,l", DENSE_PL, ids=lambda v: str(v))
+def test_block_step_matches_dense_counterterms(p, l):
+    # level-by-level graph sums against products through the dense matrix,
+    # at random per-box couplings with f, w5 and w6 nonzero so the G f and
+    # W legs all contribute
+    params = make_params(p, l, 0.17)
+    table = covariance_table(params)
+    bc = _random_block(params, np.random.default_rng(11))
+    gpow = dense_powers(table)
+    d1, d2, w5, w6, f = second_order_counterterms(bc, table, params)
+    o1, o2, ow5, ow6, of = dense_counterterms(bc, gpow, table, params)
+    got = np.array([d1[k] for k in range(5)] + [d2[k] for k in range(5)] + [w5, w6, f])
+    want = np.array([o1[k] for k in range(5)] + [o2[k] for k in range(5)] + [ow5, ow6, of])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    out = block_step(bc, table, params)
+    want_out = dense_block_outputs(bc, gpow, table, params)
+    assert np.max(np.abs(np.append(out.as_array(), out.delta_b) - want_out)) <= 1e-12 * np.max(np.abs(want_out))
 
 
 def test_mass_deviation_cross_terms(m21):
@@ -514,14 +556,14 @@ def test_cumulant_oracle_vacuum_mass_channel():
 def test_functional_free_theory_exact(m21):
     params, table, fc = m21
     grid = np.linspace(-3, 3, 13)
-    res = functional_block_step(lambda x: np.ones_like(x), grid, params, table, QuadratureConfig(n_samples=2000, seed=3))
+    res = functional_block_step(lambda x: np.ones_like(x), grid, params, QuadratureConfig(n_samples=2000, seed=3))
     assert np.all(res.z_out == 1.0)
     assert res.log_norm == 0.0
 
 
 def test_block_fluctuation_variance(m21):
     params, table, fc = m21
-    z = sample_block_fluctuation(params, table, 100_000, seed=21)
+    z = sample_block_fluctuation(params, 100_000, seed=21)
     var = z.var(axis=0).mean()
     se = np.sqrt(2.0 / 100_000) * table.gamma_ball * np.sqrt(params.n_boxes) / params.n_boxes**0.5
     assert var == pytest.approx(table.gamma_ball, abs=3 * 0.005)
@@ -529,6 +571,18 @@ def test_block_fluctuation_variance(m21):
     assert np.allclose(np.diag(cov), table.gamma_ball, atol=0.02)
     off = cov[~np.eye(params.n_boxes, dtype=bool)]
     assert off.mean() == pytest.approx(table.gamma_shell[0], abs=0.01)
+
+
+def test_block_fluctuation_covariance_two_levels():
+    # the level-by-level draw reproduces Gamma on every distance class
+    from hrg.geometry import distance_exponents
+
+    params = make_params(2, 2, 0.1)
+    table = covariance_table(params)
+    cov = np.cov(sample_block_fluctuation(params, 40_000, seed=5).T)
+    k = distance_exponents(params.p, params.l)
+    for shell, want in enumerate((table.gamma_ball, *table.gamma_shell)):
+        assert cov[k == shell].mean() == pytest.approx(want, abs=0.01)
 
 
 def test_functional_effective_coupling(m21):
@@ -546,7 +600,7 @@ def test_functional_effective_coupling(m21):
     turning = g ** -0.25
     grid = np.linspace(-2 * turning, 2 * turning, 41)
     grid = grid - grid[20]  # force an exact zero
-    res = functional_block_step(z_fn, grid, params, table, QuadratureConfig(n_samples=120_000, seed=17))
+    res = functional_block_step(z_fn, grid, params, QuadratureConfig(n_samples=120_000, seed=17))
     proj = extract_couplings(grid, -np.log(res.z_out), c0)
     predicted = params.l_eps * g - fc.a1 * g * g
     mc_err = np.max(res.stderr)
@@ -560,8 +614,8 @@ def test_functional_deterministic(m21):
     def z_fn(x):
         return np.exp(-1e-3 * x**4)
 
-    a = functional_block_step(z_fn, grid, params, table, QuadratureConfig(n_samples=5000, seed=9))
-    b = functional_block_step(z_fn, grid, params, table, QuadratureConfig(n_samples=5000, seed=9))
+    a = functional_block_step(z_fn, grid, params, QuadratureConfig(n_samples=5000, seed=9))
+    b = functional_block_step(z_fn, grid, params, QuadratureConfig(n_samples=5000, seed=9))
     assert np.array_equal(a.z_out, b.z_out)
     assert a.log_norm == b.log_norm
 
@@ -573,15 +627,15 @@ def test_functional_rejects_nonpositive_integrand(m21):
 
     with pytest.raises(NonPositiveInputError):
         functional_block_step(
-            lambda x: 1.0 - x**2, grid, params, table, QuadratureConfig(n_samples=2000, seed=1)
+            lambda x: 1.0 - x**2, grid, params, QuadratureConfig(n_samples=2000, seed=1)
         )
     with pytest.raises(QuadratureBudgetError):
         functional_block_step(
-            lambda x: np.ones_like(x), grid, params, table,
+            lambda x: np.ones_like(x), grid, params,
             QuadratureConfig(n_samples=100, budget=10, seed=1),
         )
     with pytest.raises(DomainError):
         functional_block_step(
-            lambda x: np.ones_like(x), np.linspace(1.0, 2.0, 5), params, table,
+            lambda x: np.ones_like(x), np.linspace(1.0, 2.0, 5), params,
             QuadratureConfig(n_samples=100, seed=1),
         )
