@@ -192,7 +192,7 @@ def _bulk_from(args, cfg):
     """Parameters, scalar covariance table and flow coefficients; no command
     reads the block matrix, so it is not built."""
     params = _params_from(args, cfg)
-    table = covariance_table(params, build_matrix=False)
+    table = covariance_table(params)
     return params, table, flow_coefficients(table, params)
 
 

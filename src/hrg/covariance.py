@@ -104,10 +104,10 @@ def free_pairing_c_inf(params: ModelParams, ball_shell: int = 0) -> float:
 class CovarianceTable:
     """Gamma shell values, moments, and the block covariance matrix.
 
-    block_matrix and fluct_spectrum are None when the box count exceeds the
-    matrix budget or the caller skips them; every scalar field is always
-    populated.  No computation in the package reads the matrix: it is the
-    dense reference for the class-sum routes.
+    block_matrix and fluct_spectrum are None unless the caller asks for
+    them; every scalar field is always populated.  No computation in the
+    package reads the matrix: it is the dense reference for the class-sum
+    routes.
     """
 
     params: ModelParams
@@ -120,16 +120,14 @@ class CovarianceTable:
     fluct_spectrum: np.ndarray | None
 
 
-def covariance_table(params: ModelParams, build_matrix: bool | None = None) -> CovarianceTable:
+def covariance_table(params: ModelParams, build_matrix: bool = False) -> CovarianceTable:
     """Evaluate Gamma on all shells plus its signed moments S_m = int Gamma^m.
 
-    The moments are exact finite sums over distance classes.  The L^3 x L^3
-    block matrix (entries Gamma at the pair distance) and its spectrum are
-    built when the box count is within the matrix budget.
+    The moments are exact finite sums over distance classes.  With
+    build_matrix, the L^3 x L^3 block matrix (entries Gamma at the pair
+    distance) and its spectrum are built too, within the matrix budget.
     """
     n = params.n_boxes
-    if build_matrix is None:
-        build_matrix = n <= DEFAULT_MATRIX_BUDGET
     if build_matrix and n > DEFAULT_MATRIX_BUDGET:
         raise BoxBudgetError(f"block matrix for {n} boxes exceeds budget {DEFAULT_MATRIX_BUDGET}")
 

@@ -7,11 +7,19 @@ are counter-based: batch b of BATCH_SIZE samples draws from the Philox
 stream keyed by (seed, b), so identical inputs give bit-identical output.
 The batch size is fixed because the fields depend on it: the same seed cut
 into other batch sizes draws other fields.
+
+`validate` draws and sums the batches concurrently, on a pool of threads
+as large as the usable cores (and no larger than the batch count).  Each
+batch yields a few small partial sums, which are added in batch order, so
+the output is bit-identical for any worker count.  Peak memory is about
+one batch, 8 * BATCH_SIZE * boxes bytes, per worker.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +31,7 @@ DEFAULT_VOLUME_BUDGET = 4096
 MATRIX_BOXES = 1024  # validate forms the full empirical matrix up to this box count
 BATCH_SIZE = 4096
 MATERIALIZE_CAP = 1 << 24  # samples times boxes
+CHUNK_VALUES = 1 << 16  # a batch is finished and summed this many values (512 KiB) at a time
 
 
 @dataclass(frozen=True)
@@ -48,25 +57,33 @@ class FieldEnsemble:
     def n_boxes(self) -> int:
         return self.params.p ** (3 * self.levels)
 
-    def batches(self):
-        done = 0
-        idx = 0
-        chol = None
+    @property
+    def n_batches(self) -> int:
+        return -(-self.n_samples // BATCH_SIZE)
+
+    @cached_property
+    def cholesky_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of the exact box covariance, computed on first use."""
+        return _cholesky_factor(self.params, self.levels)
+
+    def batch(self, idx: int) -> np.ndarray:
+        """Batch idx, shape (min(BATCH_SIZE, samples left), boxes), drawn
+        from the Philox stream keyed by (seed, idx)."""
+        if not 0 <= idx < self.n_batches:
+            raise IndexError(f"batch {idx} outside 0..{self.n_batches - 1}")
+        b = min(BATCH_SIZE, self.n_samples - idx * BATCH_SIZE)
+        rng = np.random.Generator(np.random.Philox(key=(int(self.seed) << 32) + idx))
+        if self.method == "hierarchical":
+            return _hierarchical_batch(self.params, self.levels, b, rng)
         if self.method == "cholesky":
-            chol = _cholesky_factor(self.params, self.levels)
-        while done < self.n_samples:
-            b = min(BATCH_SIZE, self.n_samples - done)
-            rng = np.random.Generator(np.random.Philox(key=(int(self.seed) << 32) + idx))
-            if self.method == "hierarchical":
-                yield _hierarchical_batch(self.params, self.levels, b, rng)
-            elif self.method == "cholesky":
-                yield rng.standard_normal((b, self.n_boxes)) @ chol.T
-            elif self.method == "zero":
-                yield np.zeros((b, self.n_boxes))
-            else:
-                raise ValueError(f"unknown sampling method {self.method!r}")
-            done += b
-            idx += 1
+            return _cholesky_batch(self.cholesky_factor, b, rng)
+        if self.method == "zero":
+            return np.zeros((b, self.n_boxes))
+        raise ValueError(f"unknown sampling method {self.method!r}")
+
+    def batches(self):
+        for idx in range(self.n_batches):
+            yield self.batch(idx)
 
     def materialize(self) -> np.ndarray:
         if self.n_samples * self.n_boxes > MATERIALIZE_CAP:
@@ -96,28 +113,60 @@ def sample_hierarchical_field(
     return FieldEnsemble(params=params, r=r, s=s, n_samples=n_samples, seed=int(seed), method=method)
 
 
+def _row_chunks(b: int, n_boxes: int) -> list:
+    """Row slices of a (b, n_boxes) batch of about CHUNK_VALUES values each.
+
+    A short remainder joins the last slice, so no slice is shorter than
+    the others unless it is the whole batch: a product over one row goes
+    to a matrix-vector kernel, which rounds unlike the same row of a
+    batch-wide product.
+    """
+    step = max(1, CHUNK_VALUES // n_boxes)
+    edges = [i * step for i in range(max(1, b // step))] + [b]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def _hierarchical_batch(params: ModelParams, levels: int, b: int, rng) -> np.ndarray:
     """Scale-by-scale construction: independent centered block increments
-    scaled by p^(-n*[phi]), plus the common coarse offset."""
+    scaled by p^(-n*[phi]), plus the common coarse offset.
+
+    The stream is drawn finest scale first, then each coarser scale, then
+    the tail.  The finest normals land in the output itself; centering and
+    the coarser and tail offsets are then applied one row chunk at a time.
+    """
     p = params.p
     phi = params.phi_dim
     n = p ** (3 * levels)
     base = p**3
+    x = np.empty((b, n))
     if levels == 0:
-        x = np.zeros((b, 1))
+        x.fill(0.0)
     else:
-        # finest scale fills the array; coarser scales add via broadcast views
-        xi = rng.standard_normal((b, n)).reshape(b, n // base, base)
-        xi -= xi.mean(axis=2, keepdims=True)
-        x = np.ascontiguousarray(xi.reshape(b, n))
+        rng.standard_normal(out=x)
+    coarse = []  # (block width in boxes, one scaled increment per block)
     for scale in range(1, levels):
-        parents = n // base ** (scale + 1)
-        xi = rng.standard_normal((b, parents, base))
+        xi = rng.standard_normal((b, n // base ** (scale + 1), base))
         xi -= xi.mean(axis=2, keepdims=True)
-        vals = float(p) ** (-scale * phi) * xi.reshape(b, parents * base)
-        x.reshape(b, parents * base, base**scale)[...] += vals[:, :, None]
+        xi *= float(p) ** (-scale * phi)
+        coarse.append((base**scale, xi.reshape(b, -1, 1)))
     v_tail = (1.0 - float(p) ** -3) * float(p) ** (-2 * levels * phi) / (1.0 - float(p) ** (-2 * phi))
-    x += np.sqrt(v_tail) * rng.standard_normal((b, 1))
+    tail = np.sqrt(v_tail) * rng.standard_normal((b, 1))
+    for chunk in _row_chunks(b, n):
+        rows = x[chunk]
+        if levels:
+            fine = rows.reshape(len(rows), -1, base)
+            fine -= fine.mean(axis=2, keepdims=True)
+        for width, vals in coarse:
+            rows.reshape(len(rows), -1, width)[...] += vals[chunk]
+        rows += tail[chunk]
+    return x
+
+
+def _cholesky_batch(chol: np.ndarray, b: int, rng) -> np.ndarray:
+    """b fields chol @ z from standard normals z, overwritten one row chunk at a time."""
+    x = rng.standard_normal((b, chol.shape[0]))
+    for chunk in _row_chunks(b, chol.shape[0]):
+        x[chunk] = x[chunk] @ chol.T
     return x
 
 
@@ -144,15 +193,14 @@ class EmpiricalCovariance:
     max_z_score: float
 
 
-def _class_aggregates(x: np.ndarray, p: int, levels: int) -> np.ndarray:
+def _class_aggregates(x: np.ndarray, p: int, levels: int, out: np.ndarray) -> None:
     """Per-sample sums of x_i * x_j over ordered pairs in each distance class.
 
-    Column k holds the class at distance p^k (k=0 is the diagonal), computed
-    by telescoping block sums down the tree.
+    Column k of out holds the class at distance p^k (k=0 is the diagonal),
+    computed by telescoping block sums down the tree.
     """
     b, n = x.shape
     base = p**3
-    out = np.empty((b, levels + 1))
     out[:, 0] = np.sum(x * x, axis=1)
     sq_prev = out[:, 0]
     sums = x
@@ -161,7 +209,31 @@ def _class_aggregates(x: np.ndarray, p: int, levels: int) -> np.ndarray:
         sq = np.sum(sums**2, axis=1)
         out[:, d] = sq - sq_prev
         sq_prev = sq
-    return out
+
+
+def _batch_partials(ens: FieldEnsemble, idx: int, n_sub: int, weight: float, want_matrix: bool) -> tuple:
+    """Sums over batch idx that validate adds up in batch order: the class
+    aggregates and their squares, the pairing terms and their squares, and
+    with want_matrix x.T @ x and the column sums."""
+    x = ens.batch(idx)
+    b, n = x.shape
+    agg = np.empty((b, ens.levels + 1))
+    box_sums = np.empty(b)
+    for chunk in _row_chunks(b, n):
+        rows = x[chunk]
+        _class_aggregates(rows, ens.params.p, ens.levels, agg[chunk])
+        box_sums[chunk] = rows[:, :n_sub].sum(axis=1)
+    t = (weight * box_sums) ** 2
+    partials = (agg.sum(axis=0), (agg**2).sum(axis=0), t.sum(), (t**2).sum())
+    if want_matrix:
+        partials += (x.T @ x, x.sum(axis=0))
+    return partials
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def validate(ens: FieldEnsemble) -> tuple:
@@ -173,6 +245,8 @@ def validate(ens: FieldEnsemble) -> tuple:
     matrix is also formed when the box count is small enough to afford it.
     The pairing estimate is the squared weighted sum over the unit box,
     which in rescaled units is the leading p^(-3r) sub-ball of the lattice.
+    Batches are drawn and summed on a thread pool and their partial sums
+    added in batch order, so any worker count gives the same bits.
     """
     if ens.n_samples < 1000:
         raise SampleCountError(f"{ens.n_samples} samples; need at least 1000")
@@ -190,16 +264,24 @@ def validate(ens: FieldEnsemble) -> tuple:
     weight = float(p) ** ((3 - ens.params.phi_dim) * ens.r)
     pair_sum = 0.0
     pair_sum2 = 0.0
-    for batch in ens.batches():
-        a = _class_aggregates(batch, p, levels)
-        agg += a.sum(axis=0)
-        agg2 += (a**2).sum(axis=0)
-        if want_matrix:
-            xtx += batch.T @ batch
-            xsum += batch.sum(axis=0)
-        t = (weight * batch[:, :n_sub].sum(axis=1)) ** 2
-        pair_sum += t.sum()
-        pair_sum2 += (t**2).sum()
+    if ens.method == "cholesky":
+        ens.cholesky_factor  # factored here, so NotPSDError is raised before any worker starts
+    from concurrent.futures import ThreadPoolExecutor  # here, so other commands skip its import cost
+
+    def partials(idx):
+        return _batch_partials(ens, idx, n_sub, weight, want_matrix)
+
+    # map yields in batch order, drops each result once read, and cancels
+    # the batches not yet started when one raises
+    with ThreadPoolExecutor(max_workers=min(_usable_cores(), ens.n_batches)) as pool:
+        for a_sum, a_sq, t_sum, t_sq, *matrix_parts in pool.map(partials, range(ens.n_batches)):
+            agg += a_sum
+            agg2 += a_sq
+            if want_matrix:
+                xtx += matrix_parts[0]
+                xsum += matrix_parts[1]
+            pair_sum += t_sum
+            pair_sum2 += t_sq
 
     counts = np.empty(levels + 1)
     counts[0] = n_boxes

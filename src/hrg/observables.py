@@ -318,7 +318,7 @@ def full_report(params: ModelParams, g_seed: float | None = None, table: Covaria
     normalization constants; physical outputs must not depend on it.
     """
     if table is None:
-        table = covariance_table(params, build_matrix=False)
+        table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     eig = unstable_eigenpair(jacobian_at(v_star, fc))

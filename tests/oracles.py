@@ -126,3 +126,121 @@ def dense_deviation_quadratic(v_bk, fc, table, params):
             quad[:, i, j] = quad[:, j, i] = (both - plus[i] - plus[j]) / 2.0
     quad /= size**2
     return lin[:n], quad[:n], lin[n], quad[n]
+
+
+def reference_hierarchical_batch(params, levels, b, rng):
+    """The hierarchical sampler before fusion: the finest scale fills the
+    array, then each coarser scale and the common tail are added over the
+    whole batch.  Draws the stream in the same order as `hrg.mc`."""
+    p = params.p
+    phi = params.phi_dim
+    n = p ** (3 * levels)
+    base = p**3
+    if levels == 0:
+        x = np.zeros((b, 1))
+    else:
+        xi = rng.standard_normal((b, n)).reshape(b, n // base, base)
+        xi -= xi.mean(axis=2, keepdims=True)
+        x = np.ascontiguousarray(xi.reshape(b, n))
+    for scale in range(1, levels):
+        parents = n // base ** (scale + 1)
+        xi = rng.standard_normal((b, parents, base))
+        xi -= xi.mean(axis=2, keepdims=True)
+        vals = float(p) ** (-scale * phi) * xi.reshape(b, parents * base)
+        x.reshape(b, parents * base, base**scale)[...] += vals[:, :, None]
+    v_tail = (1.0 - float(p) ** -3) * float(p) ** (-2 * levels * phi) / (1.0 - float(p) ** (-2 * phi))
+    x += np.sqrt(v_tail) * rng.standard_normal((b, 1))
+    return x
+
+
+def reference_batches(ens):
+    """The ensemble's batches, drawn whole one after another."""
+    from hrg.mc import BATCH_SIZE, _cholesky_factor
+
+    chol = _cholesky_factor(ens.params, ens.levels) if ens.method == "cholesky" else None
+    done = idx = 0
+    while done < ens.n_samples:
+        b = min(BATCH_SIZE, ens.n_samples - done)
+        rng = np.random.Generator(np.random.Philox(key=(int(ens.seed) << 32) + idx))
+        if ens.method == "hierarchical":
+            yield reference_hierarchical_batch(ens.params, ens.levels, b, rng)
+        elif ens.method == "cholesky":
+            yield rng.standard_normal((b, ens.n_boxes)) @ chol.T
+        else:
+            yield np.zeros((b, ens.n_boxes))
+        done += b
+        idx += 1
+
+
+def reference_class_aggregates(x, p, levels):
+    """Per-sample sums of x_i * x_j over each distance class, over the whole batch."""
+    b, n = x.shape
+    base = p**3
+    out = np.empty((b, levels + 1))
+    out[:, 0] = np.sum(x * x, axis=1)
+    sq_prev = out[:, 0]
+    sums = x
+    for d in range(1, levels + 1):
+        sums = sums.reshape(b, n // base**d, base).sum(axis=2)
+        sq = np.sum(sums**2, axis=1)
+        out[:, d] = sq - sq_prev
+        sq_prev = sq
+    return out
+
+
+def reference_validate(ens):
+    """`hrg.mc.validate` as one serial loop over `reference_batches`."""
+    from hrg.covariance import c_r_value
+    from hrg.mc import MATRIX_BOXES, EmpiricalCovariance, PairingEstimate, exact_pairing
+
+    p = ens.params.p
+    levels = ens.levels
+    n_boxes = ens.n_boxes
+    n = ens.n_samples
+
+    agg = np.zeros(levels + 1)
+    agg2 = np.zeros(levels + 1)
+    want_matrix = n_boxes <= MATRIX_BOXES
+    xtx = np.zeros((n_boxes, n_boxes)) if want_matrix else None
+    xsum = np.zeros(n_boxes) if want_matrix else None
+    n_sub = int(float(p) ** (-3 * ens.r))
+    weight = float(p) ** ((3 - ens.params.phi_dim) * ens.r)
+    pair_sum = 0.0
+    pair_sum2 = 0.0
+    for batch in reference_batches(ens):
+        a = reference_class_aggregates(batch, p, levels)
+        agg += a.sum(axis=0)
+        agg2 += (a**2).sum(axis=0)
+        if want_matrix:
+            xtx += batch.T @ batch
+            xsum += batch.sum(axis=0)
+        t = (weight * batch[:, :n_sub].sum(axis=1)) ** 2
+        pair_sum += t.sum()
+        pair_sum2 += (t**2).sum()
+
+    counts = np.empty(levels + 1)
+    counts[0] = n_boxes
+    for k in range(1, levels + 1):
+        counts[k] = n_boxes * (p ** (3 * k) - p ** (3 * (k - 1)))
+    mean_agg = agg / n
+    var_agg = np.maximum(agg2 / n - mean_agg**2, 0.0)
+    class_means = mean_agg / counts
+    class_se = np.sqrt(var_agg / n) / counts
+    class_exact = np.array([c_r_value(ens.params, 0, k) for k in range(levels + 1)])
+    diffs = class_means - class_exact
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(class_se > 0, np.abs(diffs) / class_se, np.where(diffs == 0.0, 0.0, np.inf))
+    matrix = None
+    if want_matrix:
+        mean_vec = xsum / n
+        matrix = (xtx - n * np.outer(mean_vec, mean_vec)) / (n - 1)
+    emp = EmpiricalCovariance(
+        matrix=matrix,
+        class_means=class_means,
+        class_exact=class_exact,
+        class_se=class_se,
+        max_z_score=float(np.max(z)),
+    )
+    mean = pair_sum / n
+    var = max(pair_sum2 / n - mean**2, 0.0)
+    return emp, PairingEstimate(mean=mean, stderr=float(np.sqrt(var / n)), exact=exact_pairing(ens.params, ens.r))

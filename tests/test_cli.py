@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hrg.cli import dump_report, load_report, read_config, run_command
@@ -232,3 +234,16 @@ def test_flow_negative_steps_exits_2(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps = -3\n")
     _assert_input_error(*run(["--config", str(cfg), "flow"])[::2])
+
+
+def test_mc_cholesky_not_positive_definite_exits_2(monkeypatch):
+    # the box covariance is positive definite at every supported point, so
+    # an indefinite one is put in its place
+    import hrg.mc
+
+    monkeypatch.setattr(hrg.mc, "_exact_box_covariance", lambda params, levels: -np.eye(params.p ** (3 * levels)))
+    before = threading.active_count()
+    rc, out, err = run(["mc", "--r", "-1", "--s", "0", "--samples", "5000", "--method", "cholesky"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "NotPSDError"
+    assert threading.active_count() == before

@@ -9,6 +9,7 @@ from hrg.covariance import (
     gamma_series_value,
     gamma_value,
 )
+from hrg.errors import BoxBudgetError
 from hrg.geometry import make_params, shell_measure
 
 GRID = [
@@ -96,7 +97,7 @@ def test_l1_bound():
 def test_block_matrix_row_sums_and_spectrum():
     for (p, l, eps) in [(2, 1, 0.1), (3, 1, 0.5), (2, 2, 0.1)]:
         mp = make_params(p, l, eps)
-        t = covariance_table(mp)
+        t = covariance_table(mp, build_matrix=True)
         rows = t.block_matrix.sum(axis=1)
         assert np.max(np.abs(rows)) <= 1e-12
         assert t.fluct_spectrum.min() >= -1e-10
@@ -104,7 +105,7 @@ def test_block_matrix_row_sums_and_spectrum():
 
 def test_fluct_spectrum_single_level_analytic():
     mp = make_params(2, 1, 0.1)
-    t = covariance_table(mp)
+    t = covariance_table(mp, build_matrix=True)
     gap = t.gamma_ball - t.gamma_shell[0]
     assert gap == pytest.approx(1.0, abs=1e-14)
     eigs = np.sort(t.fluct_spectrum)
@@ -164,7 +165,7 @@ def test_free_pairing_doubling_relation():
 
 
 def test_table_immutable_matrix():
-    t = covariance_table(make_params(2, 1, 0.1))
+    t = covariance_table(make_params(2, 1, 0.1), build_matrix=True)
     with pytest.raises(ValueError):
         t.block_matrix[0, 0] = 5.0
 
@@ -174,6 +175,8 @@ def test_large_l_skips_matrix():
     t = covariance_table(mp)
     assert t.block_matrix is None and t.fluct_spectrum is None
     assert abs(t.s_moments[1]) <= 1e-12
+    with pytest.raises(BoxBudgetError):
+        covariance_table(mp, build_matrix=True)
 
 
 def test_gamma_zero_field_aliases_ball_value():

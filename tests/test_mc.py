@@ -1,16 +1,23 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import hrg.mc as mcmod
 from hrg.covariance import c_r_value
 from hrg.errors import NotPSDError, SampleCountError, VolumeError
 from hrg.geometry import make_params
 from hrg.mc import (
+    BATCH_SIZE,
+    FieldEnsemble,
     _cholesky_factor,
     _exact_box_covariance,
     exact_pairing,
     sample_hierarchical_field,
     validate,
 )
+from oracles import reference_batches, reference_validate
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +182,118 @@ def test_materialize_cap(p21):
     ens = sample_hierarchical_field(p21, -2, 2, 200_000, 0)
     with pytest.raises(VolumeError):
         ens.materialize()
+
+
+# every level count within the 4096-box volume budget
+VOLUMES = [(2, levels) for levels in range(5)] + [(3, levels) for levels in range(3)]
+# one batch; two with a short last one of 65 rows; three
+SAMPLE_COUNTS = (1000, BATCH_SIZE + 65, 3 * BATCH_SIZE - 100)
+
+
+def _assert_same(got, want, rtol=0.0):
+    """Every field of (EmpiricalCovariance, PairingEstimate) equal, or with
+    rtol > 0 within rtol relative (max_z_score within rtol absolute)."""
+    emp, pairing = got
+    ref_emp, ref_pairing = want
+    if ref_emp.matrix is None:
+        assert emp.matrix is None
+    fields = [(emp.matrix, ref_emp.matrix)] if ref_emp.matrix is not None else []
+    fields += [(getattr(emp, name), getattr(ref_emp, name)) for name in ("class_means", "class_exact", "class_se")]
+    fields += [(getattr(pairing, name), getattr(ref_pairing, name)) for name in ("mean", "stderr", "exact")]
+    for a, b in fields:
+        if rtol:
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0)
+        else:
+            assert np.array_equal(a, b)
+    if rtol:
+        assert abs(emp.max_z_score - ref_emp.max_z_score) <= rtol
+    else:
+        assert np.array_equal(emp.max_z_score, ref_emp.max_z_score)
+
+
+def _validate_on(ens, workers, monkeypatch):
+    """validate with a pool of `workers` threads; at more workers than
+    cores, with the interpreter switching threads every microsecond."""
+    monkeypatch.setattr(mcmod, "_usable_cores", lambda: workers)
+    old = sys.getswitchinterval()
+    if workers > 2:
+        sys.setswitchinterval(1e-6)
+    try:
+        return validate(ens)
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("method", ["hierarchical", "cholesky", "zero"])
+@pytest.mark.parametrize("p,levels", VOLUMES)
+def test_validate_matches_serial_reference(p, levels, method, monkeypatch):
+    # Any worker count gives the same bits.  The hierarchical and zero
+    # batches do the serial reference's arithmetic, so they match it bit for
+    # bit.  The Cholesky product runs one row chunk at a time, and BLAS may
+    # block a chunk's product unlike the batch-wide one (at 729 boxes it
+    # moves entries of the empirical matrix by an ulp), so that branch is
+    # held to the reference within 1e-13, a few hundred ulps.
+    params = make_params(p, 1, 0.1)
+    r = -((levels + 1) // 2)
+    counts = SAMPLE_COUNTS
+    if p ** (3 * levels) == 4096:
+        # the dearest volume: one batch for Cholesky, two for the others
+        counts = SAMPLE_COUNTS[:1] if method == "cholesky" else SAMPLE_COUNTS[1:2]
+    rtol = 1e-13 if method == "cholesky" else 0.0
+    for n_samples in counts:
+        ens = sample_hierarchical_field(params, r, levels + r, n_samples, seed=23, method=method)
+        serial = _validate_on(ens, 1, monkeypatch)
+        _assert_same(serial, reference_validate(ens), rtol)
+        for workers in (2, 5) if ens.n_batches > 1 else ():
+            _assert_same(_validate_on(ens, workers, monkeypatch), serial)
+    # batches keep their output, the short last batch included
+    for got, ref in zip(ens.batches(), reference_batches(ens), strict=True):
+        if rtol:
+            np.testing.assert_allclose(got, ref, rtol=rtol, atol=1e-13)
+        else:
+            assert np.array_equal(got, ref)
+
+
+def test_batch_index_guard(p21):
+    ens = sample_hierarchical_field(p21, -1, 0, BATCH_SIZE + 1, 0)
+    assert ens.n_batches == 2 and ens.batch(1).shape == (1, 8)
+    for idx in (-1, 2):
+        with pytest.raises(IndexError):
+            ens.batch(idx)
+
+
+def test_validate_leaves_no_thread_running(p21, monkeypatch):
+    ens = sample_hierarchical_field(p21, -1, 1, 3 * BATCH_SIZE, 29)
+    before = threading.active_count()
+    _validate_on(ens, 5, monkeypatch)
+    assert threading.active_count() == before
+
+
+def test_worker_exception_reaches_caller(p21, monkeypatch):
+    ens = sample_hierarchical_field(p21, -1, 1, 5 * BATCH_SIZE, 31)
+    draw = FieldEnsemble.batch
+
+    def failing_batch(self, idx):
+        if idx == 1:
+            raise RuntimeError("batch 1 failed")
+        return draw(self, idx)
+
+    monkeypatch.setattr(FieldEnsemble, "batch", failing_batch)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="batch 1 failed"):
+        _validate_on(ens, 2, monkeypatch)
+    assert threading.active_count() == before
+
+
+def test_cholesky_factor_computed_once(p21, monkeypatch):
+    calls = []
+    factor = mcmod._cholesky_factor
+
+    def counted(params, levels):
+        calls.append(levels)
+        return factor(params, levels)
+
+    monkeypatch.setattr(mcmod, "_cholesky_factor", counted)
+    ens = sample_hierarchical_field(p21, -1, 1, 3 * BATCH_SIZE, 37, method="cholesky")
+    _validate_on(ens, 5, monkeypatch)
+    assert calls == [2]

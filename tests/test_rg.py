@@ -31,7 +31,7 @@ from oracles import dense_block_outputs, dense_counterterms, dense_deviation_qua
 @pytest.fixture(scope="module")
 def m21():
     params = make_params(2, 1, 0.1)
-    table = covariance_table(params)
+    table = covariance_table(params, build_matrix=True)
     fc = flow_coefficients(table, params)
     return params, table, fc
 
@@ -177,7 +177,7 @@ def _random_block(params, rng, scale=0.5):
 @pytest.mark.parametrize("p,seed", [(2, 5), (2, 6), (3, 5)])
 def test_counterterms_match_brute_force(p, seed):
     params = make_params(p, 1, 0.17)
-    table = covariance_table(params)
+    table = covariance_table(params, build_matrix=True)
     rng = np.random.default_rng(seed)
     bc = _random_block(params, rng)
     got = second_order_counterterms(bc, table, params)
@@ -347,7 +347,7 @@ def test_deviation_quadratic_reproduces_dense_step(point):
     from hrg.dynamics import find_fixed_point
 
     params = make_params(*point)
-    table = covariance_table(params)
+    table = covariance_table(params, build_matrix=True)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     dq = deviation_quadratic(v_star, fc, table, params)
@@ -379,7 +379,7 @@ def test_deviation_quadratic_matches_dense_polarization(p, l):
 
     for eps in (0.05, 0.5):
         params = make_params(p, l, eps)
-        table = covariance_table(params)
+        table = covariance_table(params, build_matrix=True)
         fc = flow_coefficients(table, params)
         v_star = find_fixed_point(fc, params)
         for v in (v_star, BulkVector(0.3 * fc.gbar, -2.0 * v_star.mu)):
@@ -394,7 +394,7 @@ def test_block_step_matches_dense_counterterms(p, l):
     # at random per-box couplings with f, w5 and w6 nonzero so the G f and
     # W legs all contribute
     params = make_params(p, l, 0.17)
-    table = covariance_table(params)
+    table = covariance_table(params, build_matrix=True)
     bc = _random_block(params, np.random.default_rng(11))
     gpow = dense_powers(table)
     d1, d2, w5, w6, f = second_order_counterterms(bc, table, params)
