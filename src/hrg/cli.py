@@ -9,6 +9,7 @@ significant digits in JSON and shortest round-trip form in CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -113,7 +114,9 @@ class _Parser(argparse.ArgumentParser):
         raise IoError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing leaves it unchanged."""
     parser = _Parser(prog="hrg", description="hierarchical RG engine")
     parser.add_argument("--config", default=None, help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)

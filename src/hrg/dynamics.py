@@ -11,10 +11,9 @@ iteration: forward iteration amplifies the seed's rounding error along the
 unstable direction and leaves the manifold after a few dozen steps.  The
 coupling recurrence does not involve the mass, and the mass recurrence is
 linear once the coupling orbit is known, so the solution is one forward
-sweep in delta_g and one backward sweep in mu.  The conjugating map is
-evaluated by transporting its argument along that trajectory with chained
-Jacobians and taking the limit at the fixed point, which is where the
-defining double iteration is numerically stable.
+sweep in delta_g and one backward sweep in mu, kept as two arrays.  The
+Jacobians along the orbit are lower triangular too, so the chained-Jacobian
+limits of the partial linearization are cumulative products over them.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ ESCAPE_MAX_STEPS = 10_000
 MEMBERSHIP_ATOL = 1e-10
 PSI_TOL = 1e-12  # Cauchy tolerance between stages of the double iteration
 PSI_MAX_STAGES = 2000
-T_INFINITY_TOL = 1e-13
+KAPPA_TAIL_RTOL = 1e-12  # largest bound on the share of kappa an orbit cut at the depth cap may drop
 SEMIGROUP_SHIFTS = (1, 2, 3)
 CONTRACTION_WINDOW = (20, 30)  # orbit steps whose decay ratios measure_contraction averages
 
@@ -113,23 +112,29 @@ def unstable_eigenpair(j: np.ndarray) -> EigenData:
 # stable manifold: sequence solution and shadowed orbits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManifoldOrbit:
-    """Shadowed orbit on the stable manifold; the tail is pinned to the
-    fixed point once the solved trajectory reaches it at float resolution."""
+    """Shadowed orbit on the stable manifold: dg[n] and mu[n] for n below
+    settle_index, from which on it is pinned to the fixed point."""
 
-    points: tuple
+    dg: np.ndarray
+    mu: np.ndarray
     v_star: BulkVector
     settle_index: int
 
+    @property
+    def points(self) -> tuple:
+        """The orbit as bulk vectors, up to and including the pinned v_star."""
+        return tuple(self.point(n) for n in range(self.settle_index + 1))
+
     def point(self, n: int) -> BulkVector:
-        if n < len(self.points):
-            return self.points[n]
+        if n < self.settle_index:
+            return BulkVector(float(self.dg[n]), float(self.mu[n]))
         return self.v_star
 
     @property
     def mu0(self) -> float:
-        return self.points[0].mu
+        return self.point(0).mu
 
 
 def _sequence_depth(delta_g0: float, fc: FlowCoefficients) -> int:
@@ -163,25 +168,19 @@ def stable_orbit(g: float, fc: FlowCoefficients, params: ModelParams) -> Manifol
     _require_in_radius(delta_g0, fc)
     depth = _sequence_depth(delta_g0, fc)
     v_star = find_fixed_point(fc, params)
-    dg = np.empty(depth + 1)
-    dg[0] = delta_g0
-    for n in range(depth):
-        dg[n + 1] = fc.lam_g * dg[n] - fc.a1 * dg[n] ** 2
-    gs = fc.gbar + dg
-    mu = np.empty(depth + 1)
-    mu[depth] = fc.a2 * gs[depth] ** 2 / (fc.lam_mu_free - 1.0 - fc.a3 * gs[depth])
-    for n in range(depth - 1, -1, -1):
-        mu[n] = (mu[n + 1] + fc.a2 * gs[n] ** 2) / (fc.lam_mu_free - fc.a3 * gs[n])
+    dg = [float(delta_g0)]
+    for _ in range(depth):
+        dg.append(fc.lam_g * dg[-1] - fc.a1 * dg[-1] ** 2)
+    gs = (fc.gbar + np.array(dg)).tolist()
+    mu = [fc.a2 * gs[-1] ** 2 / (fc.lam_mu_free - 1.0 - fc.a3 * gs[-1])]
+    for g_n in reversed(gs[:-1]):
+        mu.append((mu[-1] + fc.a2 * g_n**2) / (fc.lam_mu_free - fc.a3 * g_n))
+    dg, mu = np.array(dg), np.array(mu[::-1])
 
     snap = 256.0 * np.finfo(float).eps * max(abs(v_star.mu), fc.gbar)
-    settle = depth
-    for n in range(depth + 1):
-        if abs(dg[n]) <= snap and abs(mu[n] - v_star.mu) <= snap:
-            settle = n
-            break
-    points = [BulkVector(float(dg[n]), float(mu[n])) for n in range(settle)]
-    points.append(v_star)
-    return ManifoldOrbit(points=tuple(points), v_star=v_star, settle_index=settle)
+    settled = (np.abs(dg) <= snap) & (np.abs(mu - v_star.mu) <= snap)
+    settle = int(np.argmax(settled)) if settled.any() else depth
+    return ManifoldOrbit(dg=dg[:settle], mu=mu[:settle], v_star=v_star, settle_index=settle)
 
 
 def critical_mass(g: float, fc: FlowCoefficients, params: ModelParams, method: str = "sequence") -> float:
@@ -365,6 +364,32 @@ def koenigs_psi(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: Mode
     )
 
 
+def kappa_tail_bound(orbit: ManifoldOrbit, fc: FlowCoefficients, alpha_u: float) -> float:
+    """First-order bound on the share of kappa that the factors
+    1 - a3 dg_j / alpha_u past the settle index S carry: a coupling step
+    scales |dg| by at most rho = |lam_g| + a1 |dg_{S-1}| there, which sums
+    to a3 |dg_{S-1}| rho / (|alpha_u| (1 - rho))."""
+    last = abs(float(orbit.dg[-1])) if orbit.settle_index else 0.0
+    rho = abs(fc.lam_g) + fc.a1 * last
+    return fc.a3 * last * rho / (abs(alpha_u) * (1.0 - rho)) if rho < 1.0 else np.inf
+
+
+def mass_products(orbit: ManifoldOrbit, fc: FlowCoefficients, alpha_u: float) -> np.ndarray:
+    """alpha_u^-n DF^n E_PHI2 = (0, P_n), P_n = prod_{j<n} (lam_mu_free - a3 g_j) / alpha_u,
+    for n = 0..S; past the settle index S each factor is 1, so P_S = kappa.
+
+    With alpha_u = lam_mu_free - a3 gbar the factors are 1 - a3 dg_j / alpha_u,
+    taken as a running sum of log1p: built as written they are each about
+    an ulp of alpha_u off, 3e-12 of kappa over S = 40 000 steps.  An orbit
+    cut at the depth cap before `kappa_tail_bound` fell to KAPPA_TAIL_RTOL
+    is a DomainError, not a truncated kappa.
+    """
+    tail = kappa_tail_bound(orbit, fc, alpha_u)
+    if tail > KAPPA_TAIL_RTOL:
+        raise DomainError(f"orbit cut at depth {orbit.settle_index} before settling: kappa may miss {tail:.1e}")
+    return np.exp(np.append(0.0, np.cumsum(np.log1p(-fc.a3 * orbit.dg / alpha_u))))
+
+
 def t_infinity(
     v: BulkVector,
     w: BulkVector,
@@ -372,27 +397,25 @@ def t_infinity(
     params: ModelParams,
     orbit: ManifoldOrbit | None = None,
 ) -> tuple:
-    """Limit of chained Jacobians along the orbit of v, divided by alpha_u^n.
+    """Limit of alpha_u^-n DF^n(v) w along the orbit of v.
 
-    Returns (limit vector, kappa) with kappa its mu-component; the limit is
-    proportional to the unstable direction, so with e_u normalized to
-    mu-component 1 the proportionality constant is exactly that component.
+    Returns (limit vector, kappa), the limit being kappa (0, 1).  With P
+    from `mass_products`, c_n = J_10(v_n) / alpha_u and D_n = prod_{j<n}
+    J_00(v_j) / alpha_u, kappa = P_S (w_mu + w_g sum_n c_n D_n / P_{n+1}),
+    whose terms past S shrink by lam_g / alpha_u each.
     """
     if orbit is None:
         orbit = orbit_for_seed(v, fc, params)
-    eig = unstable_eigenpair(jacobian_at(orbit.v_star, fc))
-    alpha = eig.alpha_u
-    y = np.array([w.delta_g, w.mu])
-    n_settle = orbit.settle_index
-    prev = y.copy()
-    n = 0
-    for n in range(1, n_settle + 400):
-        y = (jacobian_at(orbit.point(n - 1), fc) @ y) / alpha
-        settled = np.max(np.abs(y - prev)) < T_INFINITY_TOL * max(1.0, float(np.max(np.abs(y))))
-        if n > max(2, n_settle) and settled:
-            return BulkVector(float(y[0]), float(y[1])), float(y[1])
-        prev = y.copy()
-    raise ConvergenceError(f"chained Jacobians did not converge within {n} steps", n_used=n)
+    alpha = unstable_eigenpair(jacobian_at(orbit.v_star, fc)).alpha_u
+    products = mass_products(orbit, fc, alpha)
+    kappa = float(products[-1]) * w.mu
+    if w.delta_g != 0.0:
+        dg, mu = np.append(orbit.dg, orbit.v_star.delta_g), np.append(orbit.mu, orbit.v_star.mu)
+        c = (-2.0 * fc.a2 * (fc.gbar + dg) - fc.a3 * mu) / alpha
+        d = np.append(1.0, np.cumprod((fc.lam_g - 2.0 * fc.a1 * orbit.dg) / alpha))
+        weight = np.append(products[-1] / products[1:], 1.0 / (1.0 - fc.lam_g / alpha))
+        kappa += w.delta_g * float(np.sum(c * d * weight))
+    return BulkVector(0.0, kappa), kappa
 
 
 def semigroup_residuals(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: ModelParams) -> list:
@@ -404,9 +427,7 @@ def semigroup_residuals(v: BulkVector, w: BulkVector, fc: FlowCoefficients, para
     for q in SEMIGROUP_SHIFTS:
         shifted_w = transport_along(orbit, w, fc, eig.alpha_u, q)
         shifted_orbit = ManifoldOrbit(
-            points=tuple(orbit.point(n) for n in range(q, max(q + 1, orbit.settle_index + 1))),
-            v_star=orbit.v_star,
-            settle_index=max(0, orbit.settle_index - q),
+            dg=orbit.dg[q:], mu=orbit.mu[q:], v_star=orbit.v_star, settle_index=max(0, orbit.settle_index - q)
         )
         other, _ = koenigs_value(orbit.point(q), shifted_w, fc, params, orbit=shifted_orbit)
         out.append(_diff(base, other))

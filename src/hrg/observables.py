@@ -18,14 +18,13 @@ import numpy as np
 
 from .covariance import CovarianceTable, covariance_table, free_pairing_c_inf
 from .dynamics import (
-    E_PHI2,
     EigenData,
     ManifoldOrbit,
     find_fixed_point,
     jacobian_at,
+    mass_products,
     psi_fixed_seed,
     stable_orbit,
-    t_infinity,
     theta_vector,
     unstable_eigenpair,
 )
@@ -44,7 +43,6 @@ from .rg import (
 U_SERIES_RTOL = 1e-14  # stop the u4 scale series once a term falls below this share
 FD_H = 1e-3  # step of the Richardson second difference checking the UV piece
 FD_CHECK_RTOL = 1e-6
-XI_TOL = 1e-14  # the Xi sequence has settled once successive terms agree to this share
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,6 @@ def delta_b_value(v: BulkVector, fc: FlowCoefficients) -> float:
     """Vacuum term produced by one bulk step from v."""
     g = fc.gbar + v.delta_g
     return fc.a4 * g * g + fc.a5 * v.mu**2
-
-
-def delta_b_gradient(v: BulkVector, fc: FlowCoefficients) -> np.ndarray:
-    g = fc.gbar + v.delta_g
-    return np.array([2.0 * fc.a4 * g, 2.0 * fc.a5 * v.mu])
 
 
 def eta_phi2(eig: EigenData, params: ModelParams) -> float:
@@ -233,42 +226,24 @@ def phi2_ir_reduced(
     )
 
 
-def xi_sequence_limit(
-    orbit: ManifoldOrbit,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    eig: EigenData,
-):
-    """Xi_n along a shadowed manifold orbit and its limit.
-
-    Xi_n pairs the vacuum gradient at the n-th orbit point with the chained
-    Jacobians of the mass direction, divided by alpha_u^n.  Returns
-    (xi_list, xi_inf).
-    """
-    y = np.array([E_PHI2.delta_g, E_PHI2.mu])
-    xis = []
-    prev = None
-    n_floor = max(10, orbit.settle_index)
-    for n in range(n_floor + 600):
-        cur = orbit.point(n)
-        xi = float(delta_b_gradient(cur, fc) @ y)
-        xis.append(xi)
-        if prev is not None and abs(xi - prev) < XI_TOL * max(1.0, abs(xi)) and n > n_floor:
-            return xis, xi
-        prev = xi
-        y = (jacobian_at(cur, fc) @ y) / eig.alpha_u
-    raise SeriesDivergenceError("Xi sequence did not converge")
+def xi_sequence_limit(orbit: ManifoldOrbit, fc: FlowCoefficients, products: np.ndarray):
+    """Xi_n, the vacuum gradient at the n-th orbit point paired with
+    alpha_u^-n DF^n E_PHI2 = (0, P_n), so 2 a5 mu_n P_n with P from
+    `mass_products`, for n up to the settle index, where it reaches its
+    limit.  Returns (xis, xi_inf)."""
+    xis = 2.0 * fc.a5 * np.append(orbit.mu, orbit.v_star.mu) * products
+    return xis, float(xis[-1])
 
 
 def normalization_constants(
     eig: EigenData,
     params: ModelParams,
-    xis: list,
+    xis: np.ndarray,
     kappa: float,
     reduced_sum: float,
 ) -> NormalizationSet:
-    """Z-type constants from the Xi sequence of the seed orbit; the
-    two-point normalization fixes y2 and then y0."""
+    """Z-type constants from the Xi sequence of the seed orbit, which stays
+    at its last value Xi_S; the two-point normalization fixes y2 and then y0."""
     L = float(params.L)
     z2 = eig.alpha_u * L ** (-(3.0 - 2.0 * params.phi_dim))
     z0 = eig.alpha_u / L**3
@@ -276,13 +251,8 @@ def normalization_constants(
         raise SeriesDivergenceError("L^-3 alpha_u >= 1: the one-point series diverges")
     if reduced_sum <= 0.0:
         raise SeriesDivergenceError("reduced two-point sum must be positive")
-    upsilon = 0.0
-    w = 1.0
-    for xi in xis:
-        upsilon += w * xi
-        w *= z0
-    # geometric tail of the converged sequence
-    upsilon += w * xis[-1] / (1.0 - z0)
+    s = len(xis) - 1
+    upsilon = float(z0 ** np.arange(s) @ xis[:s]) + z0**s * float(xis[-1]) / (1.0 - z0)
     y2 = 1.0 / (abs(kappa) * np.sqrt(reduced_sum))
     y0 = -(L**-3) * y2 * upsilon
     return NormalizationSet(z2=z2, z0=z0, upsilon=upsilon, y0=y0, kappa=kappa, y2=y2)
@@ -326,7 +296,6 @@ def full_report(params: ModelParams, g_seed: float | None = None, table: Covaria
 
     g = fc.gbar if g_seed is None else g_seed
     orbit = stable_orbit(g, fc, params)
-    v_seed = orbit.points[0]
 
     eta = eta_phi2(eig, params)
     u2, u4 = u_values(params, table, fc, v_star)
@@ -334,10 +303,11 @@ def full_report(params: ModelParams, g_seed: float | None = None, table: Covaria
     dq = deviation_quadratic(v_star, fc, table, params)
     ir = phi2_ir_reduced(fc, eig, table, params, v_star, dq=dq)
     reduced_sum = uv + ir.value
-    _, kappa = t_infinity(v_seed, E_PHI2, fc, params, orbit=orbit)
+    products = mass_products(orbit, fc, eig.alpha_u)
+    kappa = float(products[-1])
     if kappa == 0.0:
         raise SeriesDivergenceError("kappa vanished; composite normalization undefined")
-    xis, xi_inf = xi_sequence_limit(orbit, fc, params, eig)
+    xis, xi_inf = xi_sequence_limit(orbit, fc, products)
     norms = normalization_constants(eig, params, xis, kappa, reduced_sum)
     two_point = norms.y2**2 * kappa**2 * reduced_sum
     residual = one_point_residual(dq, eig, params, xi_inf, norms)

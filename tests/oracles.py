@@ -1,5 +1,6 @@
 """Reference solvers that share no code with the closed forms they check."""
 
+import math
 from math import factorial
 
 import numpy as np
@@ -22,6 +23,66 @@ def newton_fixed_point(fc, params, tol=1e-12, max_iter=100):
         step = np.linalg.solve(jacobian_at(v, fc) - np.eye(2), -res)
         v = BulkVector(v.delta_g + step[0], v.mu + step[1])
     raise ArithmeticError(f"no convergence in {max_iter} Newton steps")
+
+
+def chained_jacobian_walk(orbit, w, fc, alpha_u):
+    """alpha_u^-n DF^n(v) w by walking y <- J(v_n) y / alpha_u along the
+    orbit, one 2x2 product a step, until successive iterates past the
+    settle index agree to 1e-13.  Returns (limit vector, its mu-component)."""
+    y = np.array([w.delta_g, w.mu])
+    prev = y.copy()
+    for n in range(1, orbit.settle_index + 400):
+        y = (jacobian_at(orbit.point(n - 1), fc) @ y) / alpha_u
+        settled = np.max(np.abs(y - prev)) < 1e-13 * max(1.0, float(np.max(np.abs(y))))
+        if n > max(2, orbit.settle_index) and settled:
+            return BulkVector(float(y[0]), float(y[1])), float(y[1])
+        prev = y.copy()
+    raise ArithmeticError("chained Jacobians did not settle")
+
+
+def xi_walk(orbit, fc, alpha_u):
+    """Xi_n = grad delta_b(v_n) . alpha_u^-n DF^n E_PHI2 by walking the chained
+    Jacobians term by term until successive terms past the settle index
+    agree to 1e-14.  Returns (xis, xi_inf)."""
+    y = np.array([0.0, 1.0])
+    xis = []
+    n_floor = max(10, orbit.settle_index)
+    for n in range(n_floor + 600):
+        cur = orbit.point(n)
+        grad = np.array([2.0 * fc.a4 * (fc.gbar + cur.delta_g), 2.0 * fc.a5 * cur.mu])
+        xis.append(float(grad @ y))
+        if n > n_floor and abs(xis[-1] - xis[-2]) < 1e-14 * max(1.0, abs(xis[-1])):
+            return xis, xis[-1]
+        y = (jacobian_at(cur, fc) @ y) / alpha_u
+    raise ArithmeticError("Xi sequence did not settle")
+
+
+def upsilon_sum(xis, z0):
+    """sum_n z0^n Xi_n term by term, with the last term continued as a
+    geometric tail."""
+    total, weight = 0.0, 1.0
+    for xi in xis:
+        total += weight * xi
+        weight *= z0
+    return total + weight * xis[-1] / (1.0 - z0)
+
+
+def deep_kappa(delta_g0, fc, alpha_u):
+    """kappa = prod_j (1 - a3 dg_j / alpha_u) over the coupling orbit from
+    delta_g0, run forward with no depth cap until the factors left move it
+    by less than 1e-18, as one exponential of an exactly rounded sum of
+    log1p terms."""
+
+    def logs():
+        x = delta_g0
+        for _ in range(10**7):
+            if fc.a3 * abs(x) / (alpha_u * (1.0 - abs(fc.lam_g))) < 1e-18:
+                return
+            yield math.log1p(-fc.a3 * x / alpha_u)
+            x = fc.lam_g * x - fc.a1 * x * x
+        raise ArithmeticError("coupling orbit not settled within 10**7 steps")
+
+    return math.exp(math.fsum(logs()))
 
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrg.cli import dump_report, load_report, read_config, run_command
+from hrg.cli import _build_parser, dump_report, load_report, read_config, run_command
 from hrg.errors import IoError
 
 DATA = Path(__file__).parent / "data"
@@ -247,3 +247,36 @@ def test_mc_cholesky_not_positive_definite_exits_2(monkeypatch):
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "NotPSDError"
     assert threading.active_count() == before
+
+
+def test_observables_flags_kappa_cut_at_the_depth_cap():
+    # at eps 1e-4 the seed 1.05 gbar has not settled within the orbit's depth
+    # cap, so kappa would miss part of its product
+    rc, out, err = run(["observables", "--p", "2", "--l", "1", "--eps", "1e-4", "--g-rel", "1.05"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+    rc, out, _ = run(["observables", "--p", "2", "--l", "1", "--eps", "1e-3", "--g-rel", "1.05"])
+    assert rc == 0
+    # the default seed sits at the fixed point: no product, kappa exactly 1
+    rc, out, _ = run(["observables", "--p", "2", "--l", "1", "--eps", "1e-5"])
+    assert rc == 0
+    assert load_report(out)["norms"]["kappa"] == 1.0
+
+
+def test_one_parser_serves_many_calls():
+    argvs = (
+        ["observables", "--bogus"],
+        ["observables", "--p", "3", "--l", "1", "--eps", "0.1", "--g-rel", "0.97"],
+        ["--help"],
+        ["observables", "--help"],
+    )
+    cached = [run(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    (rc_bad, out_bad, err_bad), (rc_ok, out_ok, _), (rc_help, out_help, _), _ = cached
+    assert rc_bad == 2 and out_bad == "" and json.loads(err_bad)["error"] == "IoError"
+    assert rc_ok == 0 and load_report(out_ok)["command"] == "observables"
+    assert rc_help == 0 and out_help.startswith("usage: hrg")
