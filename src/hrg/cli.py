@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamics, mc, observables
 from .covariance import covariance_table
 from .errors import HRGError, IoError
-from .geometry import make_params
+from .geometry import DEFAULT_BOX_BUDGET, make_params
 from .rg import BulkVector, bulk_step, flow_coefficients, iterate_bulk
 
 SCHEMA_VERSION = "1"
@@ -183,18 +183,19 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _params_from(args, cfg):
+def _params_from(args, cfg, box_budget=DEFAULT_BOX_BUDGET):
     cmd = args.command
     p = _fill(args, cfg, cmd, "p", int, 2)
     l = _fill(args, cfg, cmd, "l", int, 1)
     eps = _fill(args, cfg, cmd, "eps", float, 0.1)
-    return make_params(p, l, eps)
+    return make_params(p, l, eps, box_budget)
 
 
-def _bulk_from(args, cfg):
+def _bulk_from(args, cfg, box_budget=None):
     """Parameters, scalar covariance table and flow coefficients; no command
-    reads the block matrix, so it is not built."""
-    params = _params_from(args, cfg)
+    reads the block matrix, so it is not built.  The bulk flow allocates
+    nothing per box, so only a command given a box_budget is capped."""
+    params = _params_from(args, cfg, box_budget)
     table = covariance_table(params)
     return params, table, flow_coefficients(table, params)
 
@@ -349,7 +350,7 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_observables(args, cfg) -> str:
-    params, table, fc = _bulk_from(args, cfg)
+    params, table, fc = _bulk_from(args, cfg, DEFAULT_BOX_BUDGET)
     g_rel = _fill(args, cfg, "observables", "g_rel", float, None)
     g = _fill(args, cfg, "observables", "g", float, None)
     if g is None and g_rel is not None:

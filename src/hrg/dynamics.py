@@ -12,6 +12,8 @@ unstable direction and leaves the manifold after a few dozen steps.  The
 coupling recurrence does not involve the mass, and the mass recurrence is
 linear once the coupling orbit is known, so the solution is one forward
 sweep in delta_g and one backward sweep in mu, kept as two arrays.  The
+bisection oracle for the critical mass uses the same split: it sweeps the
+coupling orbit once and iterates the mass alone for each trial.  The
 Jacobians along the orbit are lower triangular too, so the chained-Jacobian
 limits of the partial linearization are cumulative products over them.
 """
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BlowUpError,
     ConvergenceError,
     DomainError,
     EscapeAmbiguousError,
@@ -32,7 +35,7 @@ from .errors import (
     ResonanceError,
 )
 from .geometry import ModelParams
-from .rg import BulkVector, FlowCoefficients, bulk_step
+from .rg import BLOWUP_GUARD, BulkVector, FlowCoefficients, bulk_step
 
 E_PHI2 = BulkVector(0.0, 1.0)
 
@@ -150,7 +153,7 @@ def _sequence_depth(delta_g0: float, fc: FlowCoefficients) -> int:
 
 
 def _require_in_radius(delta_g0: float, fc: FlowCoefficients) -> None:
-    if abs(delta_g0) > MANIFOLD_RADIUS * fc.gbar:
+    if not abs(delta_g0) <= MANIFOLD_RADIUS * fc.gbar:  # NaN lies outside too
         raise ManifoldRadiusError(
             f"|g - gbar| = {abs(delta_g0):.3e} outside radius {MANIFOLD_RADIUS * fc.gbar:.3e}"
         )
@@ -199,18 +202,42 @@ def critical_mass(g: float, fc: FlowCoefficients, params: ModelParams, method: s
 
 
 def _critical_mass_bisection(delta_g0: float, fc: FlowCoefficients, params: ModelParams) -> float:
-    guard = ESCAPE_GUARD_FACTOR * fc.gbar
+    """Bisect the starting mass on the escape side of its orbit.
 
-    def escape_side(mu0: float) -> int:
+    The coupling orbit is swept once, lazily: step n holds delta_g_n, the
+    mass-free terms a2 g_n^2 and a3 g_n of the mass update, and whether the
+    coupling froze there.  Each escape test then iterates the mass alone,
+    with the float operations of `bulk_step` in its order, so the result and
+    the BlowUpError guards are those of stepping `bulk_step` itself.
+    """
+    guard = ESCAPE_GUARD_FACTOR * fc.gbar
+    lam_mu = fc.lam_mu_free
+    steps = []  # (delta_g_n, a2 g_n^2, a3 g_n, delta_g_{n+1} == delta_g_n)
+    dg_new = delta_g0  # delta_g at the first step not yet in steps
+
+    def blow_up(dg: float, mu: float) -> BlowUpError:
+        return BlowUpError(f"couplings {dg}, {mu} outside guard {BLOWUP_GUARD}")
+
+    def escape_side(mu: float) -> int:
         # 0 marks a float-exact manifold point whose orbit never escapes
-        v = BulkVector(delta_g0, mu0)
-        for _ in range(ESCAPE_MAX_STEPS):
-            if abs(v.mu) > guard:
-                return 1 if v.mu > 0 else -1
-            nxt, _ = bulk_step(v, fc, params)
-            if nxt == v:
+        nonlocal dg_new
+        for n in range(ESCAPE_MAX_STEPS):
+            if abs(mu) > guard:
+                return 1 if mu > 0 else -1
+            if n == len(steps):
+                dg = dg_new
+                if not abs(dg) <= BLOWUP_GUARD:
+                    raise blow_up(dg, mu)
+                g = fc.gbar + dg
+                dg_new = fc.lam_g * dg - fc.a1 * dg**2
+                steps.append((dg, fc.a2 * g * g, fc.a3 * g, dg_new == dg))
+            dg, a, b, frozen = steps[n]
+            if not abs(mu) <= BLOWUP_GUARD:
+                raise blow_up(dg, mu)
+            nxt = lam_mu * mu - a - b * mu
+            if frozen and nxt == mu:
                 return 0
-            v = nxt
+            mu = nxt
         return 0
 
     lo, hi = -10.0 * fc.gbar, 10.0 * fc.gbar

@@ -10,6 +10,8 @@ reduces to the functions below.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -44,7 +46,7 @@ class ModelParams:
     eps: float
     L: int
     phi_dim: float
-    box_budget: int = DEFAULT_BOX_BUDGET
+    box_budget: int | None = DEFAULT_BOX_BUDGET
 
     @property
     def n_boxes(self) -> int:
@@ -60,15 +62,19 @@ class ModelParams:
         return float(self.L) ** ((3.0 + self.eps) / 2.0)
 
 
-def make_params(p: int, l: int, eps: float, box_budget: int = DEFAULT_BOX_BUDGET) -> ModelParams:
-    """Validate and build ModelParams; L and the field dimension are derived."""
+def make_params(p: int, l: int, eps: float, box_budget: int | None = DEFAULT_BOX_BUDGET) -> ModelParams:
+    """Validate and build ModelParams; L and the field dimension are derived.
+    A box_budget of None puts no cap on the box count p^(3l), which must
+    still be a finite float: the covariance moments weigh class sizes."""
     if not is_prime(p):
         raise NonPrimeError(f"p={p} is not prime")
     if l < 1:
         raise BoxIndexError(f"l={l} must be >= 1")
     if not (0.0 < eps <= 1.0):
         raise EpsRangeError(f"eps={eps} outside (0, 1]")
-    if p ** (3 * l) > box_budget:
+    if 3 * l * math.log2(p) >= 1024 or p ** (3 * l) > sys.float_info.max:
+        raise BoxBudgetError(f"p^(3l)={p}^{3 * l} boxes exceed the float range")
+    if box_budget is not None and p ** (3 * l) > box_budget:
         raise BoxBudgetError(f"p^(3l)={p**(3*l)} exceeds box budget {box_budget}")
     L = p**l
     return ModelParams(p=p, l=l, eps=float(eps), L=L, phi_dim=(3.0 - eps) / 4.0, box_budget=box_budget)

@@ -118,7 +118,7 @@ def flow_coefficients(table: CovarianceTable, params: ModelParams) -> FlowCoeffi
 def bulk_step(v: BulkVector, fc: FlowCoefficients, params: ModelParams):
     """One bulk RG step; returns the new vector and the vacuum term delta_b."""
     _require_zero_remainder(v)
-    if abs(v.delta_g) > BLOWUP_GUARD or abs(v.mu) > BLOWUP_GUARD:
+    if not (abs(v.delta_g) <= BLOWUP_GUARD and abs(v.mu) <= BLOWUP_GUARD):  # NaN fails too
         raise BlowUpError(f"couplings {v.delta_g}, {v.mu} outside guard {BLOWUP_GUARD}")
     g = fc.gbar + v.delta_g
     delta_g_new = fc.lam_g * v.delta_g - fc.a1 * v.delta_g**2

@@ -85,6 +85,41 @@ def deep_kappa(delta_g0, fc, alpha_u):
     return math.exp(math.fsum(logs()))
 
 
+def bulk_step_bisection(delta_g0, fc, params):
+    """Critical mass by bisection on the escape side, stepping the full
+    two-dimensional `bulk_step` from every trial mass: 0 marks a trial whose
+    orbit freezes before it escapes."""
+    from hrg.dynamics import ESCAPE_GUARD_FACTOR, ESCAPE_MAX_STEPS
+    from hrg.errors import EscapeAmbiguousError
+
+    guard = ESCAPE_GUARD_FACTOR * fc.gbar
+
+    def escape_side(mu0):
+        v = BulkVector(delta_g0, mu0)
+        for _ in range(ESCAPE_MAX_STEPS):
+            if abs(v.mu) > guard:
+                return 1 if v.mu > 0 else -1
+            nxt, _ = bulk_step(v, fc, params)
+            if nxt == v:
+                return 0
+            v = nxt
+        return 0
+
+    lo, hi = -10.0 * fc.gbar, 10.0 * fc.gbar
+    side_lo, side_hi = escape_side(lo), escape_side(hi)
+    if side_lo == side_hi or side_lo == 0 or side_hi == 0:
+        raise EscapeAmbiguousError("initial bracket does not straddle the stable manifold")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if escape_side(mid) == side_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 
 def dense_powers(table):
     """Elementwise powers G^m, m = 1..4, of the dense L^3 x L^3 block matrix."""

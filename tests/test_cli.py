@@ -280,3 +280,48 @@ def test_one_parser_serves_many_calls():
     assert rc_bad == 2 and out_bad == "" and json.loads(err_bad)["error"] == "IoError"
     assert rc_ok == 0 and load_report(out_ok)["command"] == "observables"
     assert rc_help == 0 and out_help.startswith("usage: hrg")
+
+
+def _assert_domain_error(rc, out, err, error):
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-mass", "--g-rel", "nan"],
+        ["critical-mass", "--g", "nan"],
+        ["flow", "--g", "nan"],
+        ["observables", "--g-rel", "nan"],
+    ],
+)
+def test_nan_coupling_seed_is_outside_the_manifold_radius(argv):
+    _assert_domain_error(*run(argv), "ManifoldRadiusError")
+
+
+@pytest.mark.parametrize(
+    "seed", [["--mu", "nan"], ["--mu", "inf"], ["--g", "nan", "--mu", "0.0"]]
+)
+def test_flow_non_finite_seed_blows_up(seed):
+    _assert_domain_error(*run(["flow", "--steps", "2"] + seed), "BlowUpError")
+
+
+def test_bulk_commands_run_past_the_box_budget():
+    # 15625 boxes: the bulk flow allocates nothing per box, so only the
+    # commands that do (observables, sweep, mc) keep the 4096-box budget
+    point = ["--p", "5", "--l", "2", "--eps", "0.1"]
+    for argv in (["coeffs"], ["fixed-point"], ["linearize"], ["flow", "--steps", "5"], ["koenigs"]):
+        rc, out, err = run(argv + point)
+        assert rc == 0 and out and err == "", argv
+    rc, out, err = run(["critical-mass"] + point)
+    assert rc == 0 and err == ""
+    data = load_report(out)
+    assert data["difference"] <= 1e-14 * abs(data["mu_c_sequence"])
+    for argv in (["observables"] + point, ["mc"] + point + ["--samples", "10"]):
+        _assert_domain_error(*run(argv), "BoxBudgetError")
+    rc, out, _ = run(["sweep", "--p", "5", "--l", "2", "--eps-list", "0.1"])
+    assert rc == 2 and "BoxBudgetError" in out
+    # past the float range the box count is refused, not overflowed
+    _assert_domain_error(*run(["coeffs", "--p", "2", "--l", "342"]), "BoxBudgetError")
+    assert run(["coeffs", "--p", "2", "--l", "341"])[0] == 0

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hrg.covariance import covariance_table
 from hrg.errors import (
+    BlowUpError,
     DomainError,
     EscapeAmbiguousError,
     ManifoldRadiusError,
@@ -17,6 +18,7 @@ from hrg.observables import delta_b_value
 from hrg.rg import BulkVector, FlowCoefficients, bulk_step, flow_coefficients
 from hrg.dynamics import (
     EigenData,
+    _critical_mass_bisection,
     critical_mass,
     find_fixed_point,
     jacobian_at,
@@ -31,7 +33,7 @@ from hrg.dynamics import (
     transport_along,
     unstable_eigenpair,
 )
-from oracles import newton_fixed_point
+from oracles import bulk_step_bisection, newton_fixed_point
 
 
 @pytest.fixture(scope="module")
@@ -389,7 +391,6 @@ def test_orbit_monotone_decay(m21):
 
 def test_escape_bracket_guard(m21):
     params, table, fc, v_star, eig = m21
-    from hrg.dynamics import _critical_mass_bisection
 
     with pytest.raises(EscapeAmbiguousError):
         # manifold far outside the bracket: both endpoints escape downward
@@ -397,3 +398,74 @@ def test_escape_bracket_guard(m21):
             a1=fc.a1, a2=1e5, a3=fc.a3, a4=fc.a4, a5=fc.a5,
             gbar=fc.gbar, lam_g=fc.lam_g, lam_mu_free=fc.lam_mu_free,
         ), params)
+
+
+def _bisect_both(delta_g0, fc, params):
+    """Both bisections at one point: the float result, or the exception type."""
+    out = []
+    for bisect in (_critical_mass_bisection, bulk_step_bisection):
+        try:
+            out.append(bisect(delta_g0, fc, params))
+        except Exception as exc:  # the type is compared
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_mass_only_bisection_is_bit_identical_to_bulk_steps(p):
+    # the coupling orbit is swept once and the mass iterated alone, with the
+    # float operations of bulk_step in its order: the same float at every
+    # point, or the same exception where the bulk-step loop raises
+    raised = 0
+    for l in (1, 2, 3):
+        for eps in (1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0):
+            params = make_params(p, l, eps, box_budget=None)
+            fc = flow_coefficients(covariance_table(params), params)
+            for k in range(11):
+                delta_g0 = (0.5 + 0.1 * k) * fc.gbar - fc.gbar
+                new, old = _bisect_both(delta_g0, fc, params)
+                assert new == old, (p, l, eps, k)
+                raised += isinstance(new, type)
+    assert raised < 3 * 7 * 11
+
+
+def _synthetic(fc, **changes):
+    fields = dict(vars(fc))
+    fields.update(changes)
+    return FlowCoefficients(**fields)
+
+
+def test_mass_only_bisection_keeps_the_bulk_step_guards(m21):
+    params, table, fc, v_star, eig = m21
+    cases = [
+        # a coupling that jumps past BLOWUP_GUARD before any trial mass escapes
+        (0.1 * fc.gbar, _synthetic(fc, lam_g=1e12), BlowUpError),
+        # an escape guard of 1e3 gbar above BLOWUP_GUARD: the mass blows up first
+        (0.0, _synthetic(fc, gbar=1e4, a2=0.0, a3=0.0), BlowUpError),
+        (float("nan"), fc, BlowUpError),
+        # the first midpoint, mass 0, stays put while the coupling still grows
+        # for 230 steps: not a frozen point, so the coupling blows up
+        (-0.1 * fc.gbar, _synthetic(fc, lam_g=1.1, a1=1e-12, a2=0.0, a3=0.0), BlowUpError),
+        # both bracket ends escape downward
+        (0.0, _synthetic(fc, a2=1e5), EscapeAmbiguousError),
+    ]
+    for delta_g0, coeffs, error in cases:
+        assert _bisect_both(delta_g0, coeffs, params) == [error, error]
+
+
+def test_bisection_never_steps_the_bulk_map(m21, monkeypatch):
+    # one coupling sweep per call: no bulk_step per escape test or step
+    import hrg.dynamics
+    import hrg.rg
+
+    params, table, fc, v_star, eig = m21
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bulk_step(*args, **kwargs)
+
+    monkeypatch.setattr(hrg.rg, "bulk_step", counted)
+    monkeypatch.setattr(hrg.dynamics, "bulk_step", counted)
+    critical_mass(1.05 * fc.gbar, fc, params, method="bisection")
+    assert len(calls) == 0
