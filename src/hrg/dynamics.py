@@ -11,15 +11,25 @@ iteration: forward iteration amplifies the seed's rounding error along the
 unstable direction and leaves the manifold after a few dozen steps.  The
 coupling recurrence does not involve the mass, and the mass recurrence is
 linear once the coupling orbit is known, so the solution is one forward
-sweep in delta_g and one backward sweep in mu, kept as two arrays.  The
+sweep in delta_g and one backward sweep in mu, kept as two arrays over a
+fixed short depth: deep enough that the upsilon terms past it are
+negligible and that the backward sweep's frozen start has died out.  The
 bisection oracle for the critical mass uses the same split: it sweeps the
-coupling orbit once and iterates the mass alone for each trial.  The
-Jacobians along the orbit are lower triangular too, so the chained-Jacobian
-limits of the partial linearization are cumulative products over them.
+coupling orbit once and iterates the mass alone for each trial.
+
+The Jacobians along the orbit are lower triangular too, so the
+chained-Jacobian limits of the partial linearization are cumulative
+products over the stored orbit, times the product over the rest of it.
+In X = delta_g / gbar the coupling map is X -> lam_g X - (1 - lam_g) X^2,
+because a1 gbar = 1 - lam_g, so that rest is a one-parameter orbit sum:
+the Koenigs (Schroder) coordinate of this map, the paper's partial
+linearization in one dimension, sums it as a power series, with no depth
+cap on small eps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +55,11 @@ ESCAPE_MAX_STEPS = 10_000
 MEMBERSHIP_ATOL = 1e-10
 PSI_TOL = 1e-12  # Cauchy tolerance between stages of the double iteration
 PSI_MAX_STAGES = 2000
-KAPPA_TAIL_RTOL = 1e-12  # largest bound on the share of kappa an orbit cut at the depth cap may drop
+UPSILON_CUT = 1e-17  # z0^N: share of upsilon the orbit points past N may carry
+SWEEP_RTOL = 2.0**-60  # alpha_u^-D: share of the frozen-tail start left in mu_0..mu_N
+KOENIGS_RTOL = 2.0**-60  # the tail series stops once two terms in a row fall below this share of it
+KOENIGS_MAX_TERMS = 64
+KOENIGS_MAX_STEPS = 10_000  # exact coupling steps the tail may take before its series converges
 SEMIGROUP_SHIFTS = (1, 2, 3)
 CONTRACTION_WINDOW = (20, 30)  # orbit steps whose decay ratios measure_contraction averages
 
@@ -112,13 +126,15 @@ def unstable_eigenpair(j: np.ndarray) -> EigenData:
 
 
 # ---------------------------------------------------------------------------
-# stable manifold: sequence solution and shadowed orbits
+# stable manifold: sequence solution and the Koenigs tail of the coupling orbit
 
 
 @dataclass(frozen=True, eq=False)
 class ManifoldOrbit:
-    """Shadowed orbit on the stable manifold: dg[n] and mu[n] for n below
-    settle_index, from which on it is pinned to the fixed point."""
+    """Orbit on the stable manifold: dg[n] and mu[n] for n = 0..settle_index,
+    the stored depth M.  Past M the orbit is reached only through the
+    Koenigs tail of `mass_products`, unless it has settled: its last stored
+    point is the fixed point itself, where it stays."""
 
     dg: np.ndarray
     mu: np.ndarray
@@ -127,29 +143,32 @@ class ManifoldOrbit:
 
     @property
     def points(self) -> tuple:
-        """The orbit as bulk vectors, up to and including the pinned v_star."""
+        """The stored orbit as bulk vectors."""
         return tuple(self.point(n) for n in range(self.settle_index + 1))
 
+    @property
+    def settled(self) -> bool:
+        return self.dg[-1] == 0.0 and self.mu[-1] == self.v_star.mu
+
     def point(self, n: int) -> BulkVector:
-        if n < self.settle_index:
+        if n <= self.settle_index:
             return BulkVector(float(self.dg[n]), float(self.mu[n]))
-        return self.v_star
+        if self.settled:
+            return self.v_star
+        raise IndexError(f"orbit point {n} lies past the stored depth {self.settle_index}")
 
     @property
     def mu0(self) -> float:
         return self.point(0).mu
 
 
-def _sequence_depth(delta_g0: float, fc: FlowCoefficients) -> int:
-    lam = abs(fc.lam_g)
-    if lam >= 1.0:
-        raise DomainError("coupling multiplier not contracting; eps too large")
-    scale = abs(delta_g0)
-    if lam == 0.0 or scale == 0.0:
-        # constant trajectory; the backward mass solve needs no extra depth
-        return 200
-    depth = int(np.ceil(np.log(scale / 1e-22) / -np.log(lam))) + 10
-    return min(max(depth, 200), 50_000)
+def _sweep_depth(alpha_u: float, L: float) -> int:
+    """M = N + D with z0^N <= UPSILON_CUT, z0 = alpha_u / L^3, so the
+    upsilon terms past N are negligible, and alpha_u^-D <= SWEEP_RTOL, so the
+    frozen-tail start of the backward mass sweep cannot reach mu_0..mu_N."""
+    n = math.ceil(math.log(UPSILON_CUT) / math.log(alpha_u / L**3))
+    d = math.ceil(math.log(SWEEP_RTOL) / -math.log(alpha_u))
+    return n + d
 
 
 def _require_in_radius(delta_g0: float, fc: FlowCoefficients) -> None:
@@ -160,17 +179,25 @@ def _require_in_radius(delta_g0: float, fc: FlowCoefficients) -> None:
 
 
 def stable_orbit(g: float, fc: FlowCoefficients, params: ModelParams) -> ManifoldOrbit:
-    """Critical trajectory above the coupling g, by two direct sweeps.
+    """Critical trajectory above the coupling g, by two direct sweeps over
+    the depth M of `_sweep_depth`, at most 80 steps for p <= 11, l <= 3.
 
     The coupling component runs forward from its boundary value; the mass
     component, linear once the couplings are known, runs backward from the
-    frozen fixed-point tail at the truncation depth, so the solution cannot
-    drift off the manifold the way a forward orbit does.
+    frozen fixed-point tail at depth M, so the solution cannot drift off
+    the manifold the way a forward orbit does.  What lies past M enters
+    only kappa, which `mass_products` takes from the Koenigs series of the
+    coupling orbit.  A seed at the fixed point is the settled orbit of
+    depth 0.
     """
     delta_g0 = g - fc.gbar
     _require_in_radius(delta_g0, fc)
-    depth = _sequence_depth(delta_g0, fc)
+    if abs(fc.lam_g) >= 1.0:
+        raise DomainError("coupling multiplier not contracting; eps too large")
     v_star = find_fixed_point(fc, params)
+    if delta_g0 == 0.0:
+        return ManifoldOrbit(dg=np.zeros(1), mu=np.array([v_star.mu]), v_star=v_star, settle_index=0)
+    depth = _sweep_depth(fc.lam_mu_free - fc.a3 * fc.gbar, float(params.L))
     dg = [float(delta_g0)]
     for _ in range(depth):
         dg.append(fc.lam_g * dg[-1] - fc.a1 * dg[-1] ** 2)
@@ -178,12 +205,7 @@ def stable_orbit(g: float, fc: FlowCoefficients, params: ModelParams) -> Manifol
     mu = [fc.a2 * gs[-1] ** 2 / (fc.lam_mu_free - 1.0 - fc.a3 * gs[-1])]
     for g_n in reversed(gs[:-1]):
         mu.append((mu[-1] + fc.a2 * g_n**2) / (fc.lam_mu_free - fc.a3 * g_n))
-    dg, mu = np.array(dg), np.array(mu[::-1])
-
-    snap = 256.0 * np.finfo(float).eps * max(abs(v_star.mu), fc.gbar)
-    settled = (np.abs(dg) <= snap) & (np.abs(mu - v_star.mu) <= snap)
-    settle = int(np.argmax(settled)) if settled.any() else depth
-    return ManifoldOrbit(dg=dg[:settle], mu=mu[:settle], v_star=v_star, settle_index=settle)
+    return ManifoldOrbit(dg=np.array(dg), mu=np.array(mu[::-1]), v_star=v_star, settle_index=depth)
 
 
 def critical_mass(g: float, fc: FlowCoefficients, params: ModelParams, method: str = "sequence") -> float:
@@ -273,12 +295,13 @@ def orbit_for_seed(v: BulkVector, fc: FlowCoefficients, params: ModelParams) -> 
 
 def measure_contraction(orbit: ManifoldOrbit) -> float:
     """Geometric decay ratio of the trajectory's distance to the fixed point,
-    averaged over the steps in CONTRACTION_WINDOW."""
+    averaged over the steps in CONTRACTION_WINDOW that the orbit stores."""
     n_lo, n_hi = CONTRACTION_WINDOW
-    dists = [_diff(orbit.point(n), orbit.v_star) for n in range(n_hi + 2)]
+    n_hi = min(n_hi, orbit.settle_index)
+    dists = [_diff(orbit.point(n), orbit.v_star) for n in range(n_hi + 1)]
     ratios = [dists[n + 1] / dists[n] for n in range(n_lo, n_hi) if dists[n] > 0]
     if not ratios:
-        raise DomainError("trajectory already at the fixed point in the sampled window")
+        raise DomainError("no stored orbit step off the fixed point in the sampled window")
     return float(np.mean(ratios))
 
 
@@ -352,18 +375,16 @@ def koenigs_value(
 ):
     """Conjugating map value at (v, w); returns (value, n_used).
 
-    The argument is transported to the fixed point along the shadowed orbit
-    through v (the conjugation semigroup identity), where the defining
-    limit is evaluated.  For v at the fixed point this is the plain double
-    iteration.
+    The argument is transported to the fixed point by the `t_infinity`
+    limit along the orbit through v (the conjugation semigroup identity
+    taken to its end), where the defining limit is evaluated.  For v at
+    the fixed point and w along e_u this is the plain double iteration.
     """
     if orbit is None:
         orbit = orbit_for_seed(v, fc, params)
-    eig = unstable_eigenpair(jacobian_at(orbit.v_star, fc))
-    q = orbit.settle_index
-    w_t = transport_along(orbit, w, fc, eig.alpha_u, q)
+    w_t, _ = t_infinity(v, w, fc, params, orbit=orbit)
     value, n_used, _ = psi_fixed_seed(w_t, fc, params, v_star=orbit.v_star)
-    return value, q + n_used
+    return value, n_used
 
 
 def koenigs_psi(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: ModelParams) -> KoenigsResult:
@@ -391,30 +412,72 @@ def koenigs_psi(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: Mode
     )
 
 
-def kappa_tail_bound(orbit: ManifoldOrbit, fc: FlowCoefficients, alpha_u: float) -> float:
-    """First-order bound on the share of kappa that the factors
-    1 - a3 dg_j / alpha_u past the settle index S carry: a coupling step
-    scales |dg| by at most rho = |lam_g| + a1 |dg_{S-1}| there, which sums
-    to a3 |dg_{S-1}| rho / (|alpha_u| (1 - rho))."""
-    last = abs(float(orbit.dg[-1])) if orbit.settle_index else 0.0
-    rho = abs(fc.lam_g) + fc.a1 * last
-    return fc.a3 * last * rho / (abs(alpha_u) * (1.0 - rho)) if rho < 1.0 else np.inf
+def _one_minus_power(lam: float, k: int) -> float:
+    """1 - lam^k, without cancellation for lam near +1 or -1."""
+    if lam == 0.0:
+        return 1.0
+    m = math.expm1(k * math.log(abs(lam)))  # |lam|^k - 1
+    return -m if lam > 0.0 or k % 2 == 0 else 2.0 + m
 
 
-def mass_products(orbit: ManifoldOrbit, fc: FlowCoefficients, alpha_u: float) -> np.ndarray:
-    """alpha_u^-n DF^n E_PHI2 = (0, P_n), P_n = prod_{j<n} (lam_mu_free - a3 g_j) / alpha_u,
-    for n = 0..S; past the settle index S each factor is 1, so P_S = kappa.
+def kappa_tail_log(x: float, fc: FlowCoefficients, alpha_u: float) -> float:
+    """log prod_{n>=0} (1 - c X_n) over the coupling orbit X_0 = x,
+    X_{n+1} = f(X_n) = lam_g X_n - q X_n^2 in X = delta_g / gbar, with
+    q = a1 gbar (= 1 - lam_g) and c = a3 gbar / alpha_u.
+
+    The sum T(x) solves T(x) - T(f(x)) = log(1 - c x).  The composition
+    matrix of f is triangular with diagonal lam_g^k, so the coefficients of
+    T = sum_k t_k x^k follow one by one:
+    t_k (1 - lam_g^k) = -c^k / k + sum_{k/2 <= j < k} t_j C(j, k-j) lam_g^(2j-k) (-q)^(k-j).
+    This is the orbit sum in the Koenigs coordinate y = h(x), expanded in x:
+    it needs no inverse Koenigs function and holds at lam_g = 0 too.  The
+    series stops once two terms in a row fall below KOENIGS_RTOL of the sum,
+    and is accepted only if it satisfies its functional equation at x to
+    rounding; otherwise one exact coupling step moves x closer to 0.
+    """
+    lam, q, c = fc.lam_g, fc.a1 * fc.gbar, fc.a3 * fc.gbar / alpha_u
+    t = [0.0]
+    exact = 0.0  # the logs of the exact steps taken
+    for _ in range(KOENIGS_MAX_STEPS):
+        if x == 0.0:
+            return exact
+        total = size = 0.0
+        small = 0
+        for k in range(1, KOENIGS_MAX_TERMS + 1):
+            if k == len(t):
+                s = -(c**k) / k
+                for j in range((k + 1) // 2, k):
+                    s += t[j] * math.comb(j, k - j) * lam ** (2 * j - k) * (-q) ** (k - j)
+                t.append(s / _one_minus_power(lam, k))
+            term = t[k] * x**k
+            total += term
+            size += abs(term)
+            small = small + 1 if abs(term) <= KOENIGS_RTOL * abs(total) else 0
+            if small == 2:
+                fx = lam * x - q * x * x
+                image = sum(t[j] * fx**j for j in range(1, k + 1))
+                residual = math.log1p(-c * x) + image - total
+                if abs(residual) <= 8.0 * k * np.finfo(float).eps * (size + abs(image)):
+                    return exact + total
+                break
+        exact += math.log1p(-c * x)
+        x = lam * x - q * x * x
+    raise DomainError(f"Koenigs series of the coupling tail not converged within {KOENIGS_MAX_STEPS} steps")
+
+
+def mass_products(orbit: ManifoldOrbit, fc: FlowCoefficients, alpha_u: float) -> tuple:
+    """(P, kappa): alpha_u^-n DF^n E_PHI2 = (0, P_n), with
+    P_n = prod_{j<n} (lam_mu_free - a3 g_j) / alpha_u for n = 0..M, the
+    stored depth, and kappa = P_inf = P_M exp(T), T from `kappa_tail_log`
+    at the orbit's last coupling.
 
     With alpha_u = lam_mu_free - a3 gbar the factors are 1 - a3 dg_j / alpha_u,
     taken as a running sum of log1p: built as written they are each about
-    an ulp of alpha_u off, 3e-12 of kappa over S = 40 000 steps.  An orbit
-    cut at the depth cap before `kappa_tail_bound` fell to KAPPA_TAIL_RTOL
-    is a DomainError, not a truncated kappa.
+    an ulp of alpha_u off.
     """
-    tail = kappa_tail_bound(orbit, fc, alpha_u)
-    if tail > KAPPA_TAIL_RTOL:
-        raise DomainError(f"orbit cut at depth {orbit.settle_index} before settling: kappa may miss {tail:.1e}")
-    return np.exp(np.append(0.0, np.cumsum(np.log1p(-fc.a3 * orbit.dg / alpha_u))))
+    logs = np.append(0.0, np.cumsum(np.log1p(-fc.a3 * orbit.dg[:-1] / alpha_u)))
+    tail = kappa_tail_log(float(orbit.dg[-1]) / fc.gbar, fc, alpha_u)
+    return np.exp(logs), math.exp(float(logs[-1]) + tail)
 
 
 def t_infinity(
@@ -427,20 +490,22 @@ def t_infinity(
     """Limit of alpha_u^-n DF^n(v) w along the orbit of v.
 
     Returns (limit vector, kappa), the limit being kappa (0, 1).  With P
-    from `mass_products`, c_n = J_10(v_n) / alpha_u and D_n = prod_{j<n}
-    J_00(v_j) / alpha_u, kappa = P_S (w_mu + w_g sum_n c_n D_n / P_{n+1}),
-    whose terms past S shrink by lam_g / alpha_u each.
+    and P_inf from `mass_products`, c_n = J_10(v_n) / alpha_u and
+    D_n = prod_{j<n} J_00(v_j) / alpha_u,
+    kappa = P_inf w_mu + w_g sum_n c_n D_n P_inf / P_{n+1}.  Past the stored
+    depth M the terms shrink by lam_g / alpha_u each and are summed as a
+    geometric tail from term M, where D_M, of order (lam_g / alpha_u)^M, is
+    already far below the rounding of the sum.
     """
     if orbit is None:
         orbit = orbit_for_seed(v, fc, params)
     alpha = unstable_eigenpair(jacobian_at(orbit.v_star, fc)).alpha_u
-    products = mass_products(orbit, fc, alpha)
-    kappa = float(products[-1]) * w.mu
+    products, p_inf = mass_products(orbit, fc, alpha)
+    kappa = p_inf * w.mu
     if w.delta_g != 0.0:
-        dg, mu = np.append(orbit.dg, orbit.v_star.delta_g), np.append(orbit.mu, orbit.v_star.mu)
-        c = (-2.0 * fc.a2 * (fc.gbar + dg) - fc.a3 * mu) / alpha
-        d = np.append(1.0, np.cumprod((fc.lam_g - 2.0 * fc.a1 * orbit.dg) / alpha))
-        weight = np.append(products[-1] / products[1:], 1.0 / (1.0 - fc.lam_g / alpha))
+        c = (-2.0 * fc.a2 * (fc.gbar + orbit.dg) - fc.a3 * orbit.mu) / alpha
+        d = np.append(1.0, np.cumprod((fc.lam_g - 2.0 * fc.a1 * orbit.dg[:-1]) / alpha))
+        weight = np.append(p_inf / products[1:], 1.0 / (1.0 - fc.lam_g / alpha))
         kappa += w.delta_g * float(np.sum(c * d * weight))
     return BulkVector(0.0, kappa), kappa
 
@@ -453,8 +518,9 @@ def semigroup_residuals(v: BulkVector, w: BulkVector, fc: FlowCoefficients, para
     out = []
     for q in SEMIGROUP_SHIFTS:
         shifted_w = transport_along(orbit, w, fc, eig.alpha_u, q)
+        k = min(q, orbit.settle_index)  # a settled orbit stays at its last point
         shifted_orbit = ManifoldOrbit(
-            dg=orbit.dg[q:], mu=orbit.mu[q:], v_star=orbit.v_star, settle_index=max(0, orbit.settle_index - q)
+            dg=orbit.dg[k:], mu=orbit.mu[k:], v_star=orbit.v_star, settle_index=orbit.settle_index - k
         )
         other, _ = koenigs_value(orbit.point(q), shifted_w, fc, params, orbit=shifted_orbit)
         out.append(_diff(base, other))

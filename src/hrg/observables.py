@@ -226,24 +226,27 @@ def phi2_ir_reduced(
     )
 
 
-def xi_sequence_limit(orbit: ManifoldOrbit, fc: FlowCoefficients, products: np.ndarray):
+def xi_sequence_limit(orbit: ManifoldOrbit, fc: FlowCoefficients, products: np.ndarray, kappa: float):
     """Xi_n, the vacuum gradient at the n-th orbit point paired with
     alpha_u^-n DF^n E_PHI2 = (0, P_n), so 2 a5 mu_n P_n with P from
-    `mass_products`, for n up to the settle index, where it reaches its
-    limit.  Returns (xis, xi_inf)."""
-    xis = 2.0 * fc.a5 * np.append(orbit.mu, orbit.v_star.mu) * products
-    return xis, float(xis[-1])
+    `mass_products`, for n up to the stored depth, and its limit
+    xi_inf = 2 a5 mu* kappa.  Returns (xis, xi_inf)."""
+    return 2.0 * fc.a5 * orbit.mu * products, 2.0 * fc.a5 * orbit.v_star.mu * kappa
 
 
 def normalization_constants(
     eig: EigenData,
     params: ModelParams,
     xis: np.ndarray,
+    xi_inf: float,
     kappa: float,
     reduced_sum: float,
 ) -> NormalizationSet:
-    """Z-type constants from the Xi sequence of the seed orbit, which stays
-    at its last value Xi_S; the two-point normalization fixes y2 and then y0."""
+    """Z-type constants from the Xi sequence of the seed orbit: upsilon sums
+    z0^n Xi_n below the stored depth M and closes with the xi_inf tail
+    z0^M xi_inf / (1 - z0), which differs from the exact tail by less than
+    z0^M, below 1e-17 of Xi.  The two-point normalization fixes y2 and then
+    y0."""
     L = float(params.L)
     z2 = eig.alpha_u * L ** (-(3.0 - 2.0 * params.phi_dim))
     z0 = eig.alpha_u / L**3
@@ -251,8 +254,8 @@ def normalization_constants(
         raise SeriesDivergenceError("L^-3 alpha_u >= 1: the one-point series diverges")
     if reduced_sum <= 0.0:
         raise SeriesDivergenceError("reduced two-point sum must be positive")
-    s = len(xis) - 1
-    upsilon = float(z0 ** np.arange(s) @ xis[:s]) + z0**s * float(xis[-1]) / (1.0 - z0)
+    m = len(xis) - 1
+    upsilon = float(z0 ** np.arange(m) @ xis[:m]) + z0**m * xi_inf / (1.0 - z0)
     y2 = 1.0 / (abs(kappa) * np.sqrt(reduced_sum))
     y0 = -(L**-3) * y2 * upsilon
     return NormalizationSet(z2=z2, z0=z0, upsilon=upsilon, y0=y0, kappa=kappa, y2=y2)
@@ -303,12 +306,11 @@ def full_report(params: ModelParams, g_seed: float | None = None, table: Covaria
     dq = deviation_quadratic(v_star, fc, table, params)
     ir = phi2_ir_reduced(fc, eig, table, params, v_star, dq=dq)
     reduced_sum = uv + ir.value
-    products = mass_products(orbit, fc, eig.alpha_u)
-    kappa = float(products[-1])
+    products, kappa = mass_products(orbit, fc, eig.alpha_u)
     if kappa == 0.0:
         raise SeriesDivergenceError("kappa vanished; composite normalization undefined")
-    xis, xi_inf = xi_sequence_limit(orbit, fc, products)
-    norms = normalization_constants(eig, params, xis, kappa, reduced_sum)
+    xis, xi_inf = xi_sequence_limit(orbit, fc, products, kappa)
+    norms = normalization_constants(eig, params, xis, xi_inf, kappa, reduced_sum)
     two_point = norms.y2**2 * kappa**2 * reduced_sum
     residual = one_point_residual(dq, eig, params, xi_inf, norms)
 

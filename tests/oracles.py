@@ -5,7 +5,8 @@ from math import factorial
 
 import numpy as np
 
-from hrg.dynamics import jacobian_at
+from hrg.dynamics import ManifoldOrbit, find_fixed_point, jacobian_at
+from hrg.errors import DomainError
 from hrg.rg import BlockCouplings, BulkVector, DeviationVector, bulk_step
 from hrg.wick import connection_coeff
 
@@ -25,10 +26,41 @@ def newton_fixed_point(fc, params, tol=1e-12, max_iter=100):
     raise ArithmeticError(f"no convergence in {max_iter} Newton steps")
 
 
+def deep_orbit(g, fc, params):
+    """The stable orbit above g by the two sweeps, run until the coupling
+    deviation has decayed to 1e-22 with no cap on the depth (and at least
+    200 steps), and cut where both components first sit within 256 ulps of
+    the fixed point.  The fixed point is appended as its last point, so the
+    orbit has settled there."""
+    delta_g0 = g - fc.gbar
+    lam = abs(fc.lam_g)
+    if lam >= 1.0:
+        raise DomainError("coupling multiplier not contracting; eps too large")
+    v_star = find_fixed_point(fc, params)
+    depth = 200
+    if lam > 0.0 and delta_g0 != 0.0:
+        depth = max(depth, int(np.ceil(np.log(abs(delta_g0) / 1e-22) / -np.log(lam))) + 10)
+    dg = [float(delta_g0)]
+    for _ in range(depth):
+        dg.append(fc.lam_g * dg[-1] - fc.a1 * dg[-1] ** 2)
+    gs = (fc.gbar + np.array(dg)).tolist()
+    mu = [fc.a2 * gs[-1] ** 2 / (fc.lam_mu_free - 1.0 - fc.a3 * gs[-1])]
+    for g_n in reversed(gs[:-1]):
+        mu.append((mu[-1] + fc.a2 * g_n**2) / (fc.lam_mu_free - fc.a3 * g_n))
+    dg, mu = np.array(dg), np.array(mu[::-1])
+    snap = 256.0 * np.finfo(float).eps * max(abs(v_star.mu), fc.gbar)
+    settled = (np.abs(dg) <= snap) & (np.abs(mu - v_star.mu) <= snap)
+    s = int(np.argmax(settled)) if settled.any() else depth
+    return ManifoldOrbit(
+        dg=np.append(dg[:s], 0.0), mu=np.append(mu[:s], v_star.mu), v_star=v_star, settle_index=s
+    )
+
+
 def chained_jacobian_walk(orbit, w, fc, alpha_u):
-    """alpha_u^-n DF^n(v) w by walking y <- J(v_n) y / alpha_u along the
-    orbit, one 2x2 product a step, until successive iterates past the
-    settle index agree to 1e-13.  Returns (limit vector, its mu-component)."""
+    """alpha_u^-n DF^n(v) w along a settled orbit such as `deep_orbit`, by
+    walking y <- J(v_n) y / alpha_u one 2x2 product a step, until successive
+    iterates past its settle index agree to 1e-13.  Returns (limit vector,
+    its mu-component)."""
     y = np.array([w.delta_g, w.mu])
     prev = y.copy()
     for n in range(1, orbit.settle_index + 400):
@@ -41,9 +73,10 @@ def chained_jacobian_walk(orbit, w, fc, alpha_u):
 
 
 def xi_walk(orbit, fc, alpha_u):
-    """Xi_n = grad delta_b(v_n) . alpha_u^-n DF^n E_PHI2 by walking the chained
-    Jacobians term by term until successive terms past the settle index
-    agree to 1e-14.  Returns (xis, xi_inf)."""
+    """Xi_n = grad delta_b(v_n) . alpha_u^-n DF^n E_PHI2 along a settled
+    orbit such as `deep_orbit`, by walking the chained Jacobians term by term
+    until successive terms past its settle index agree to 1e-14.  Returns
+    (xis, xi_inf)."""
     y = np.array([0.0, 1.0])
     xis = []
     n_floor = max(10, orbit.settle_index)

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from hrg.cli import _build_parser, dump_report, load_report, read_config, run_command
+from hrg.covariance import covariance_table
+from hrg.dynamics import find_fixed_point, jacobian_at, kappa_tail_log, unstable_eigenpair
 from hrg.errors import IoError
+from hrg.geometry import make_params
+from hrg.rg import flow_coefficients
+from oracles import deep_kappa
 
 DATA = Path(__file__).parent / "data"
 
@@ -249,14 +254,33 @@ def test_mc_cholesky_not_positive_definite_exits_2(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_observables_flags_kappa_cut_at_the_depth_cap():
-    # at eps 1e-4 the seed 1.05 gbar has not settled within the orbit's depth
-    # cap, so kappa would miss part of its product
+def _bulk(p, l, eps):
+    params = make_params(p, l, eps)
+    fc = flow_coefficients(covariance_table(params), params)
+    return fc, unstable_eigenpair(jacobian_at(find_fixed_point(fc, params), fc)).alpha_u
+
+
+def test_observables_reports_kappa_below_the_old_depth_cap():
+    # at eps 1e-4 the seed 1.05 gbar has not settled within 50 000 steps;
+    # kappa comes from the Koenigs tail and matches the deep product
     rc, out, err = run(["observables", "--p", "2", "--l", "1", "--eps", "1e-4", "--g-rel", "1.05"])
-    assert rc == 2 and out == ""
-    assert json.loads(err)["error"] == "DomainError"
-    rc, out, _ = run(["observables", "--p", "2", "--l", "1", "--eps", "1e-3", "--g-rel", "1.05"])
-    assert rc == 0
+    assert rc == 0, err
+    kappa = load_report(out)["norms"]["kappa"]
+    fc, alpha = _bulk(2, 1, 1e-4)
+    deep = deep_kappa(1.05 * fc.gbar - fc.gbar, fc, alpha)
+    assert abs(kappa - deep) <= 1e-13
+    assert abs(deep - 0.98386889537034) <= 1e-13
+    # at eps 1e-5 the deep product is out of reach: start the tail 1000
+    # exact steps further on instead
+    rc, out, err = run(["observables", "--p", "2", "--l", "1", "--eps", "1e-5", "--g-rel", "1.05"])
+    assert rc == 0, err
+    fc, alpha = _bulk(2, 1, 1e-5)
+    dg, logs = 1.05 * fc.gbar - fc.gbar, []
+    for _ in range(1000):
+        logs.append(np.log1p(-fc.a3 * dg / alpha))
+        dg = fc.lam_g * dg - fc.a1 * dg * dg
+    split = np.exp(np.sum(logs) + kappa_tail_log(dg / fc.gbar, fc, alpha))
+    assert abs(load_report(out)["norms"]["kappa"] - split) <= 1e-12
     # the default seed sits at the fixed point: no product, kappa exactly 1
     rc, out, _ = run(["observables", "--p", "2", "--l", "1", "--eps", "1e-5"])
     assert rc == 0

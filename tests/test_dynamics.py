@@ -33,7 +33,7 @@ from hrg.dynamics import (
     transport_along,
     unstable_eigenpair,
 )
-from oracles import bulk_step_bisection, newton_fixed_point
+from oracles import bulk_step_bisection, deep_orbit, newton_fixed_point
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,66 @@ def test_critical_orbit_contraction_rate(m21):
     rate = measure_contraction(orbit)
     assert rate < 1.0
     assert rate == pytest.approx(abs(fc.lam_g), rel=0.05)
+
+
+def test_orbit_stores_its_depth_and_no_further(m21):
+    params, table, fc, v_star, eig = m21
+    orbit = stable_orbit(1.05 * fc.gbar, fc, params)
+    m = orbit.settle_index
+    assert 0 < m <= 80 and len(orbit.dg) == len(orbit.mu) == m + 1
+    assert not orbit.settled
+    assert orbit.points[-1] == orbit.point(m)
+    with pytest.raises(IndexError):
+        orbit.point(m + 1)
+    # a seed at the fixed point is the settled orbit of depth 0, which stays there
+    at_fixed = stable_orbit(fc.gbar, fc, params)
+    assert at_fixed.settle_index == 0 and at_fixed.settled
+    assert at_fixed.point(0) == at_fixed.point(5) == v_star
+
+
+def test_contraction_window_stays_inside_the_stored_orbit():
+    # at (11,3,0.1) the orbit stores 8 steps, short of CONTRACTION_WINDOW
+    params = make_params(11, 3, 0.1, box_budget=None)
+    fc = flow_coefficients(covariance_table(params), params)
+    orbit = stable_orbit(1.05 * fc.gbar, fc, params)
+    assert orbit.settle_index == 8
+    with pytest.raises(DomainError):
+        measure_contraction(orbit)
+
+
+def test_stable_orbit_takes_no_more_than_80_steps():
+    # M = N + D: z0^N <= 1e-17 and alpha_u^-D <= 2^-60, for p <= 11, l <= 3
+    depths = []
+    for p in (2, 3, 5, 7, 11):
+        for l in (1, 2, 3):
+            for eps in (1e-6, 1e-3, 0.1, 0.5, 1.0):
+                params = make_params(p, l, eps, box_budget=None)
+                fc = flow_coefficients(covariance_table(params), params)
+                if abs(fc.lam_g) < 1.0:
+                    depths.append(stable_orbit(1.05 * fc.gbar, fc, params).settle_index)
+    assert max(depths) == 80 and min(depths) == 8
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_sequence_mass_is_bit_identical_to_the_deep_orbit(p):
+    # the sweeps stop at M = N + D; the frozen-tail start the uncapped orbit
+    # pushes thousands of steps further off leaves mu_0 on the same float
+    compared = 0
+    for l in (1, 2, 3):
+        for eps in (1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0):
+            params = make_params(p, l, eps, box_budget=None)
+            fc = flow_coefficients(covariance_table(params), params)
+            if abs(fc.lam_g) >= 1.0:
+                continue
+            for k in range(11):
+                g = (0.5 + 0.1 * k) * fc.gbar
+                try:
+                    mu0 = critical_mass(g, fc, params, method="sequence")
+                except ManifoldRadiusError:
+                    continue
+                assert mu0 == deep_orbit(g, fc, params).mu0, (p, l, eps, k)
+                compared += 1
+    assert compared > 0
 
 
 def test_dichotomy_diagnostic(m21):

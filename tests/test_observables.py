@@ -207,12 +207,12 @@ def test_ir_reduced_bounded_in_eps():
 def test_xi_sequence_and_upsilon(m21):
     params, table, fc, v_star, eig = m21
     orbit = stable_orbit(fc.gbar, fc, params)
-    xis, xi_inf = xi_sequence_limit(orbit, fc, mass_products(orbit, fc, eig.alpha_u))
+    xis, xi_inf = xi_sequence_limit(orbit, fc, *mass_products(orbit, fc, eig.alpha_u))
     # at the calibrator seed the sequence is constant at the analytic limit
     assert xi_inf == pytest.approx(2.0 * fc.a5 * v_star.mu, rel=1e-10)
     orbit2 = stable_orbit(1.05 * fc.gbar, fc, params)
     _, kappa = t_infinity(orbit2.point(0), E_PHI2, fc, params, orbit=orbit2)
-    _, xi_inf2 = xi_sequence_limit(orbit2, fc, mass_products(orbit2, fc, eig.alpha_u))
+    _, xi_inf2 = xi_sequence_limit(orbit2, fc, *mass_products(orbit2, fc, eig.alpha_u))
     assert xi_inf2 == pytest.approx(kappa * 2.0 * fc.a5 * v_star.mu, rel=1e-9)
 
 
@@ -256,7 +256,7 @@ def test_one_point_tail_form_matches_naive_at_moderate_depth(m21, report21):
     params, table, fc, v_star, eig = m21
     r = report21
     orbit = stable_orbit(fc.gbar, fc, params)
-    xis, xi_inf = xi_sequence_limit(orbit, fc, mass_products(orbit, fc, eig.alpha_u))
+    xis, xi_inf = xi_sequence_limit(orbit, fc, *mass_products(orbit, fc, eig.alpha_u))
     z0, y0, y2 = r.norms.z0, r.norms.y0, r.norms.y2
     depth = 10
     # naive: -y0 z0^r - y2 L^-3 z0^r sum_{n<-r} z0^n Xi_n, at r = -depth
