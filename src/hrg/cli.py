@@ -21,7 +21,7 @@ from .errors import HRGError, IoError
 from .geometry import DEFAULT_BOX_BUDGET, make_params
 from .rg import BulkVector, bulk_step, flow_coefficients, iterate_bulk
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _fmt(x) -> str:
@@ -191,11 +191,11 @@ def _params_from(args, cfg, box_budget=DEFAULT_BOX_BUDGET):
     return make_params(p, l, eps, box_budget)
 
 
-def _bulk_from(args, cfg, box_budget=None):
-    """Parameters, scalar covariance table and flow coefficients; no command
-    reads the block matrix, so it is not built.  The bulk flow allocates
-    nothing per box, so only a command given a box_budget is capped."""
-    params = _params_from(args, cfg, box_budget)
+def _bulk_from(args, cfg):
+    """Parameters, scalar covariance table and flow coefficients.  No
+    command reads the block matrix, so it is not built, and nothing here
+    allocates per box, so the box count is not capped."""
+    params = _params_from(args, cfg, None)
     table = covariance_table(params)
     return params, table, flow_coefficients(table, params)
 
@@ -350,12 +350,12 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_observables(args, cfg) -> str:
-    params, table, fc = _bulk_from(args, cfg, DEFAULT_BOX_BUDGET)
+    params, table, fc = _bulk_from(args, cfg)
     g_rel = _fill(args, cfg, "observables", "g_rel", float, None)
     g = _fill(args, cfg, "observables", "g", float, None)
     if g is None and g_rel is not None:
         g = g_rel * fc.gbar
-    report = observables.full_report(params, g_seed=g, table=table)
+    report = observables.full_report(params, g_seed=g, table=table, fc=fc)
     return dump_report({"command": "observables", **_report_payload(report)})
 
 
@@ -376,7 +376,7 @@ SWEEP_COLUMNS = [
 def _sweep_row(p: int, l: int, eps: float):
     """One sweep row; a domain error fills only eps and the error column."""
     try:
-        report = observables.full_report(make_params(p, l, eps))
+        report = observables.full_report(make_params(p, l, eps, box_budget=None))
     except HRGError as exc:
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";")
         return [eps] + [""] * (len(SWEEP_COLUMNS) - 2) + [msg]

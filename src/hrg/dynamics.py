@@ -42,7 +42,6 @@ from .errors import (
     ManifoldRadiusError,
     NoGapError,
     OffManifoldError,
-    ResonanceError,
 )
 from .geometry import ModelParams
 from .rg import BLOWUP_GUARD, BulkVector, FlowCoefficients, bulk_step
@@ -525,29 +524,3 @@ def semigroup_residuals(v: BulkVector, w: BulkVector, fc: FlowCoefficients, para
         other, _ = koenigs_value(orbit.point(q), shifted_w, fc, params, orbit=shifted_orbit)
         out.append(_diff(base, other))
     return out
-
-
-def second_derivative_map(fc: FlowCoefficients, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear second differential of the bulk step (constant in v)."""
-    return np.array(
-        [
-            -2.0 * fc.a1 * x[0] * y[0],
-            -2.0 * fc.a2 * x[0] * y[0] - fc.a3 * (x[0] * y[1] + x[1] * y[0]),
-        ]
-    )
-
-
-def theta_vector(fc: FlowCoefficients, eig: EigenData) -> BulkVector:
-    """Quadratic coefficient of the conjugating map along the unstable line.
-
-    Solves (alpha_u^2 I - J) theta = (1/2) D2[e_u, e_u]; resonance cannot
-    occur for the physical flow (alpha_u > 1) but is guarded for synthetic
-    coefficient sets.
-    """
-    e = np.array([eig.e_u.delta_g, eig.e_u.mu])
-    rhs = 0.5 * second_derivative_map(fc, e, e)
-    m = eig.alpha_u**2 * np.eye(2) - eig.jacobian
-    if abs(np.linalg.det(m)) < 1e-14 * max(1.0, eig.alpha_u**4):
-        raise ResonanceError("alpha_u^2 resonates with the Jacobian spectrum")
-    sol = np.linalg.solve(m, rhs)
-    return BulkVector(float(sol[0]), float(sol[1]))

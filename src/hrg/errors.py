@@ -61,20 +61,12 @@ class OffManifoldError(HRGError):
     """Seed orbit does not approach the fixed point."""
 
 
-class ResonanceError(HRGError):
-    """Linear solve blocked by a (near-)resonant spectrum."""
-
-
 class SeriesDivergenceError(HRGError):
     """A geometric series needed by an observable does not converge."""
 
 
 class ContractionError(HRGError):
     """Deviation flow is not contracting at the requested point."""
-
-
-class SelfCheckError(HRGError):
-    """Two internal evaluation routes disagree beyond tolerance."""
 
 
 class VolumeError(HRGError):

@@ -5,10 +5,21 @@ from math import factorial
 
 import numpy as np
 
-from hrg.dynamics import ManifoldOrbit, find_fixed_point, jacobian_at
-from hrg.errors import DomainError
+from hrg.dynamics import ManifoldOrbit, find_fixed_point, jacobian_at, psi_fixed_seed
+from hrg.errors import DomainError, HRGError
 from hrg.rg import BlockCouplings, BulkVector, DeviationVector, bulk_step
 from hrg.wick import connection_coeff
+
+FD_H = 1e-3  # step of the Richardson second difference of the vacuum term
+FD_CHECK_RTOL = 1e-6
+
+
+class ResonanceError(HRGError):
+    """Linear solve blocked by a (near-)resonant spectrum."""
+
+
+class SelfCheckError(HRGError):
+    """Two evaluation routes disagree beyond tolerance."""
 
 
 def newton_fixed_point(fc, params, tol=1e-12, max_iter=100):
@@ -152,6 +163,76 @@ def bulk_step_bisection(delta_g0, fc, params):
             hi = mid
     return 0.5 * (lo + hi)
 
+
+
+def delta_b_value(v, fc):
+    """Vacuum term produced by one bulk step from v."""
+    g = fc.gbar + v.delta_g
+    return fc.a4 * g * g + fc.a5 * v.mu**2
+
+
+def second_derivative_map(fc, x, y):
+    """Bilinear second differential of the bulk step (constant in v)."""
+    return np.array(
+        [
+            -2.0 * fc.a1 * x[0] * y[0],
+            -2.0 * fc.a2 * x[0] * y[0] - fc.a3 * (x[0] * y[1] + x[1] * y[0]),
+        ]
+    )
+
+
+def theta_vector(fc, eig):
+    """Quadratic coefficient of the conjugating map along the unstable line.
+
+    Solves (alpha_u^2 I - J) theta = (1/2) D2[e_u, e_u]; resonance cannot
+    occur for the physical flow (alpha_u > 1) but is guarded for synthetic
+    coefficient sets.
+    """
+    e = np.array([eig.e_u.delta_g, eig.e_u.mu])
+    rhs = 0.5 * second_derivative_map(fc, e, e)
+    m = eig.alpha_u**2 * np.eye(2) - eig.jacobian
+    if abs(np.linalg.det(m)) < 1e-14 * max(1.0, eig.alpha_u**4):
+        raise ResonanceError("alpha_u^2 resonates with the Jacobian spectrum")
+    sol = np.linalg.solve(m, rhs)
+    return BulkVector(float(sol[0]), float(sol[1]))
+
+
+def psi_vacuum_second_derivative(fc, eig, v_star, params):
+    """Second z-derivative of the vacuum term along the conjugated unstable
+    line z -> psi(v*, z e_u), by the defining double iteration and a
+    Richardson-extrapolated central second difference at steps FD_H/2 and
+    FD_H."""
+
+    def f(z):
+        if z == 0.0:
+            return delta_b_value(v_star, fc)
+        w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
+        psi, _, _ = psi_fixed_seed(w, fc, params, v_star=v_star)
+        return delta_b_value(psi, fc)
+
+    def second(hh):
+        return (f(hh) - 2.0 * f(0.0) + f(-hh)) / hh**2
+
+    return (4.0 * second(FD_H / 2.0) - second(FD_H)) / 3.0
+
+
+def uv_reduced_oracle(fc, eig, theta, v_star, params):
+    """The ultraviolet piece from the vacuum curvature along the line
+    v* + z e_u + z^2 theta, checked against the finite difference of
+    `psi_vacuum_second_derivative` to FD_CHECK_RTOL (SelfCheckError
+    otherwise), over the geometric-series denominator alpha_u^2 - L^3."""
+    eg = eig.e_u.delta_g
+    g_star = fc.gbar + v_star.delta_g
+    curvature = (
+        2.0 * fc.a4 * eg**2
+        + 2.0 * fc.a5
+        + 4.0 * fc.a4 * g_star * theta.delta_g
+        + 4.0 * fc.a5 * v_star.mu * theta.mu
+    )
+    fd = psi_vacuum_second_derivative(fc, eig, v_star, params)
+    if abs(fd - curvature) > FD_CHECK_RTOL * max(abs(curvature), 1e-300):
+        raise SelfCheckError(f"vacuum second derivative mismatch: analytic {curvature!r} vs fd {fd!r}")
+    return curvature / (eig.alpha_u**2 - float(params.L) ** 3)
 
 
 def dense_powers(table):

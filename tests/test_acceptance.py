@@ -11,7 +11,7 @@ from hrg.covariance import covariance_table, gamma_series_value, gamma_value
 from hrg.errors import DomainError
 from hrg.geometry import make_params
 from hrg.mc import sample_hierarchical_field, validate
-from hrg.observables import eta_phi2, full_report, phi2_ir_reduced, phi2_uv_reduced, u_values, delta_b_value
+from hrg.observables import eta_phi2, full_report, phi2_ir_reduced, phi2_uv_reduced, u_values
 from hrg.rg import BulkVector, cumulant_oracle, flow_coefficients
 from hrg.wick import WickPoly, connection_coeff, monomial_to_wick, wick_product, wick_to_monomial
 from hrg.dynamics import (
@@ -23,10 +23,9 @@ from hrg.dynamics import (
     psi_fixed_seed,
     semigroup_residuals,
     stable_orbit,
-    theta_vector,
     unstable_eigenpair,
 )
-from oracles import newton_fixed_point
+from oracles import delta_b_value, newton_fixed_point, theta_vector
 
 GRID = [
     (p, l, eps)
@@ -253,7 +252,8 @@ def test_criterion_09_two_point_blowup():
     v_star = find_fixed_point(fc, params)
     eig = unstable_eigenpair(jacobian_at(v_star, fc))
     theta = theta_vector(fc, eig)
-    uv = phi2_uv_reduced(fc, eig, theta, v_star, params)
+    assert (theta.delta_g, theta.mu) == (0.0, 0.0)
+    uv = phi2_uv_reduced(fc, eig, params)
     target = 6.0 * (1 - 2.0**-3) / np.log(2.0)
     rel = abs(0.01 * uv - target) / target
     assert rel <= 0.05

@@ -11,10 +11,8 @@ from hrg.errors import (
     ManifoldRadiusError,
     NoGapError,
     OffManifoldError,
-    ResonanceError,
 )
 from hrg.geometry import make_params
-from hrg.observables import delta_b_value
 from hrg.rg import BulkVector, FlowCoefficients, bulk_step, flow_coefficients
 from hrg.dynamics import (
     EigenData,
@@ -29,11 +27,17 @@ from hrg.dynamics import (
     semigroup_residuals,
     stable_orbit,
     t_infinity,
-    theta_vector,
     transport_along,
     unstable_eigenpair,
 )
-from oracles import bulk_step_bisection, deep_orbit, newton_fixed_point
+from oracles import (
+    ResonanceError,
+    bulk_step_bisection,
+    deep_orbit,
+    delta_b_value,
+    newton_fixed_point,
+    theta_vector,
+)
 
 
 @pytest.fixture(scope="module")

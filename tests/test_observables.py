@@ -6,7 +6,6 @@ from hrg.errors import SeriesDivergenceError
 from hrg.geometry import make_params
 from hrg.observables import (
     IRSeriesResult,
-    delta_b_value,
     eta_phi2,
     full_report,
     normalization_constants,
@@ -16,7 +15,14 @@ from hrg.observables import (
     u_values,
     xi_sequence_limit,
 )
-from hrg.rg import BulkVector, DeviationVector, deviation_step, deviation_vacuum, flow_coefficients
+from hrg.rg import (
+    BulkVector,
+    DeviationVector,
+    deviation_quadratic,
+    deviation_step,
+    deviation_vacuum,
+    flow_coefficients,
+)
 from hrg.dynamics import (
     E_PHI2,
     EigenData,
@@ -26,8 +32,14 @@ from hrg.dynamics import (
     psi_fixed_seed,
     stable_orbit,
     t_infinity,
-    theta_vector,
     unstable_eigenpair,
+)
+from oracles import (
+    SelfCheckError,
+    delta_b_value,
+    psi_vacuum_second_derivative,
+    theta_vector,
+    uv_reduced_oracle,
 )
 
 
@@ -112,8 +124,7 @@ def test_u4_bound_p3():
 
 def test_uv_reduced(m21):
     params, table, fc, v_star, eig = m21
-    theta = theta_vector(fc, eig)
-    uv = phi2_uv_reduced(fc, eig, theta, v_star, params)
+    uv = phi2_uv_reduced(fc, eig, params)
     denom = eig.alpha_u**2 - params.L**3
     assert 1.0 / denom == pytest.approx(5.110, rel=1e-3)
     assert uv == pytest.approx(2.0 * fc.a5 / denom, rel=1e-9)
@@ -126,8 +137,7 @@ def test_uv_reduced_blowup_constant():
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    theta = theta_vector(fc, eig)
-    uv = phi2_uv_reduced(fc, eig, theta, v_star, params)
+    uv = phi2_uv_reduced(fc, eig, params)
     target = 6.0 * (1 - 2.0**-3) / np.log(2.0)
     assert abs(0.01 * uv - target) / target < 0.05
 
@@ -136,7 +146,7 @@ def test_uv_reduced_divergence_guard(m21):
     params, table, fc, v_star, eig = m21
     bad = EigenData(alpha_u=1.5, e_u=eig.e_u, lam_g=eig.lam_g, jacobian=eig.jacobian)
     with pytest.raises(SeriesDivergenceError):
-        phi2_uv_reduced(fc, bad, theta_vector(fc, eig), v_star, params)
+        phi2_uv_reduced(fc, bad, params)
 
 
 def _richardson_ir_oracle(fc, eig, table, params, v_star, h=1e-3, rtol=1e-12, q_block=40):
@@ -180,7 +190,6 @@ def test_ir_reduced_matches_richardson_oracle(point):
     ir = phi2_ir_reduced(fc, eig, table, params, v_star)
     assert isinstance(ir, IRSeriesResult)
     assert ir.solve_residual < 1e-13
-    assert ir.step_residual < 1e-13
     assert ir.n_terms == 2
     oracle, tail = _richardson_ir_oracle(fc, eig, table, params, v_star)
     assert tail < 1e-6
@@ -276,21 +285,63 @@ def test_one_point_tail_form_matches_naive_at_moderate_depth(m21, report21):
 
 def test_report_error_bands(report21):
     r = report21
-    assert set(r.error_bands) >= {"implicit_order", "ir_tail", "ir_stencil"}
+    assert set(r.error_bands) == {"implicit_order", "ir_tail"}
     assert r.error_bands["implicit_order"] > 0
 
 
 def test_uv_reduced_self_check_guards_bad_theta(m21):
-    from hrg.errors import SelfCheckError
-
+    # the finite-difference oracle of the UV piece rejects a wrong curvature
     params, table, fc, v_star, eig = m21
-    bad_theta = BulkVector(0.0, 0.5)  # wrong curvature
+    bad_theta = BulkVector(0.0, 0.5)
     with pytest.raises(SelfCheckError):
-        phi2_uv_reduced(fc, eig, bad_theta, v_star, params)
-    # and the honest theta passes the internal cross-check
-    from hrg.dynamics import theta_vector
+        uv_reduced_oracle(fc, eig, bad_theta, v_star, params)
+    # and the honest theta passes it, at the closed form's value
+    uv = uv_reduced_oracle(fc, eig, theta_vector(fc, eig), v_star, params)
+    assert uv == phi2_uv_reduced(fc, eig, params)
 
-    phi2_uv_reduced(fc, eig, theta_vector(fc, eig), v_star, params)
+
+UV_GRID = [(p, l, eps) for p in (2, 3, 5, 7) for l in (1, 2) for eps in (0.01, 0.1, 0.5)]
+
+
+def _bulk_point(p, l, eps):
+    params = make_params(p, l, eps, box_budget=None)
+    fc = flow_coefficients(covariance_table(params), params)
+    v_star = find_fixed_point(fc, params)
+    return params, fc, v_star, unstable_eigenpair(jacobian_at(v_star, fc))
+
+
+@pytest.mark.parametrize("point", UV_GRID, ids=lambda p: "-".join(map(str, p)))
+def test_uv_reduced_matches_fd_oracle(point):
+    # 2 a5 / (alpha_u^2 - L^3) against the Richardson second difference of
+    # the vacuum term along the double iteration psi(v*, z e_u)
+    params, fc, v_star, eig = _bulk_point(*point)
+    uv = phi2_uv_reduced(fc, eig, params)
+    oracle = psi_vacuum_second_derivative(fc, eig, v_star, params) / (eig.alpha_u**2 - float(params.L) ** 3)
+    assert abs(uv - oracle) <= 1e-6 * abs(uv)
+    # the conjugating map has no quadratic term along e_u = (0, 1): that is
+    # why the UV piece is this closed form and the IR seed has b_0 = 0
+    theta = theta_vector(fc, eig)
+    assert (theta.delta_g, theta.mu) == (0.0, 0.0)
+
+
+STEP_POINTS = [(2, l) for l in range(1, 6)] + [(3, l) for l in (1, 2, 3)] + [(5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("point", STEP_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_closed_form_step_matches_deviation_step(point):
+    # the closed-form step M x + Q(x, x) against one direct deviation step,
+    # the deviated and the bulk block over per-box arrays, at every box
+    # count p^(3l) <= 117649 with p <= 7
+    p, l = point
+    probe = np.linspace(1.0, -0.5, 6)
+    for eps in (0.05, 0.1, 0.3):
+        params = make_params(p, l, eps, box_budget=None)
+        table = covariance_table(params)
+        fc = flow_coefficients(table, params)
+        v_star = find_fixed_point(fc, params)
+        dq = deviation_quadratic(v_star, fc, table, params)
+        direct = deviation_step(v_star, DeviationVector(*probe), fc, table, params).as_array()[:6]
+        assert np.max(np.abs(dq.step(probe) - direct)) <= 1e-13 * np.max(np.abs(direct)), eps
 
 
 def test_full_report_second_eps():
@@ -305,11 +356,8 @@ def test_full_report_second_eps():
 def test_uv_series_assembly_matches_direct_sum(m21):
     # the closed 1/(alpha^2 - L^3) assembly against a literal partial sum of
     # the ultraviolet scale series, term by term through the conjugated line
-    from hrg.dynamics import psi_fixed_seed, theta_vector
-
     params, table, fc, v_star, eig = m21
-    theta = theta_vector(fc, eig)
-    uv = phi2_uv_reduced(fc, eig, theta, v_star, params)
+    uv = phi2_uv_reduced(fc, eig, params)
     h = 1e-3
     total = 0.0
     m_max = 8  # deeper scales fall below difference rounding at fixed stencil
@@ -327,10 +375,15 @@ def test_uv_series_assembly_matches_direct_sum(m21):
     assert total == pytest.approx(partial, rel=1e-6)
 
 
-@pytest.mark.parametrize("point", [(7, 1, 0.1), (3, 2, 0.1)], ids=lambda p: "-".join(map(str, p)))
+@pytest.mark.parametrize(
+    "point", [(7, 1, 0.1), (3, 2, 0.1), (11, 3, 0.1), (101, 3, 0.01)], ids=lambda p: "-".join(map(str, p))
+)
 def test_full_report_needs_no_block_matrix(point, monkeypatch):
-    # the report builds no dense matrix, and only the one direct deviation
-    # step behind ir_stencil runs the block engine
+    # the report is closed forms and two small solves: it builds no dense
+    # matrix, never runs the block engine and allocates nothing per box, up
+    # to about 1.8e9 and 1.1e18 boxes at (11, 3) and (101, 3)
+    import tracemalloc
+
     import hrg.observables
     import hrg.rg
 
@@ -347,9 +400,16 @@ def test_full_report_needs_no_block_matrix(point, monkeypatch):
 
     monkeypatch.setattr(hrg.observables, "covariance_table", recording_table)
     monkeypatch.setattr(hrg.rg, "block_step", counting_step)
-    report = full_report(make_params(*point))
+    params = make_params(*point, box_budget=None)
+    tracemalloc.start()
+    try:
+        report = full_report(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert len(tables) == 1 and tables[0].block_matrix is None
-    assert len(steps) <= 2
+    assert len(steps) == 0
+    assert peak < 2**20
     assert report.two_point_normalized == pytest.approx(1.0, abs=1e-10)
 
 
