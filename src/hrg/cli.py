@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 domain errors and bad arguments or config values
 (machine-readable JSON on stderr), 1 internal faults.  Outputs are
-byte-deterministic for identical configs; floats are serialized with 17
-significant digits in JSON and shortest round-trip form in CSV.
+byte-deterministic for identical configs; floats are serialized in their
+shortest round-trip form (Python's repr) in both JSON and CSV.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ def _fmt(x) -> str:
 
 
 def dump_report(payload: dict) -> str:
-    """Serialize a report with a schema tag and 17-significant-digit floats."""
+    """Serialize a report with a schema tag; numpy scalars and arrays become
+    Python values, so json writes each float as its shortest round-trip repr."""
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
 
@@ -41,7 +42,7 @@ def dump_report(payload: dict) -> str:
         if isinstance(obj, (list, tuple)):
             return [walk(v) for v in obj]
         if isinstance(obj, (float, np.floating)):
-            return float(f"{float(obj):.17g}")
+            return float(obj)
         if isinstance(obj, (np.integer,)):
             return int(obj)
         if isinstance(obj, np.ndarray):

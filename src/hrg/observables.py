@@ -7,12 +7,11 @@ eigenvalue.  In the truncation the conjugating map is exactly linear along
 e_u = (0, 1), so the ultraviolet piece is the closed form
 2 a5 / (alpha_u^2 - L^3) and the infrared seed has no second jet.  The
 deviation step at the fixed point is exactly linear plus bilinear, with
-closed-form coefficients, so the infrared and one-point series are summed
-in closed form over the orbit's first and second z-jets: a report is
-closed forms plus a 36 x 36 Stein solve and a 6 x 6 (I - M) solve at any
-box count, and it carries the residuals of those solves.  The
-finite-difference and block-step routes that check these closed forms
-live with the tests.
+closed-form coefficients, and its linear map M keeps the mass line,
+M e_2 = m22 e_2, so the infrared and one-point series over the orbit's
+z-jets are scalar sums along it plus one 6 x 6 (I - M) solve at any box
+count, whose residual the report carries.  The Stein, finite-difference
+and block-step routes that check these closed forms live with the tests.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class NormalizationSet:
 @dataclass(frozen=True)
 class IRSeriesResult:
     value: float
-    solve_residual: float  # relative, Stein and (I - M) solves
-    n_terms: int  # linear solves run: the Stein and the (I - M) solve
+    solve_residual: float  # relative, of the (I - M) solve
+    n_terms: int  # linear solves run: the one (I - M) solve
 
 
 @dataclass(frozen=True)
@@ -125,20 +124,11 @@ def phi2_uv_reduced(fc: FlowCoefficients, eig: EigenData, params: ModelParams) -
     return 2.0 * fc.a5 / (eig.alpha_u**2 - L3)
 
 
-def _point_seed(v: BulkVector) -> np.ndarray:
-    """A bulk (delta_g, mu) as a point deviation on (beta4, beta2)."""
-    return np.array([v.delta_g, 0.0, v.mu, 0.0, 0.0, 0.0])
-
-
-def _solve(a: np.ndarray, b: np.ndarray):
-    """Solution of a x = b and its relative residual."""
-    x = np.linalg.solve(a, b)
-    return x, float(np.max(np.abs(a @ x - b)) / np.max(np.abs(b)))
+MASS = 2  # slot of beta2 among the point couplings: e_u = (0, 1) seeds the deviation orbit there
 
 
 def phi2_ir_reduced(
     fc: FlowCoefficients,
-    eig: EigenData,
     table: CovarianceTable,
     params: ModelParams,
     v_star: BulkVector,
@@ -148,27 +138,23 @@ def phi2_ir_reduced(
     deviation orbit seeded with the point restriction of the conjugated
     unstable line, summed over all iterations in closed form.
 
-    The seed is z a_0 + z^2 b_0 + O(z^3) with a_0 = e_u, and b_0 = 0 because
-    the conjugating map is linear along e_u.  With step(x) = M x + Q(x, x)
-    the orbit's jets are a_{q+1} = M a_q and b_{q+1} = M b_q + Q(a_q, a_q),
-    and term q is 2 (c.b_q + R(a_q, a_q)).  A = sum a_q a_q^T solves the
-    Stein equation A = a_0 a_0^T + M A M^T, and sum b_q = (I - M)^-1 Q(A).
+    The seed is z a_0 + z^2 b_0 + O(z^3) with a_0 = e_u = e_2, and b_0 = 0
+    because the conjugating map is linear along e_u.  With
+    step(x) = M x + Q(x, x) the orbit's jets are a_{q+1} = M a_q and
+    b_{q+1} = M b_q + Q(a_q, a_q), and term q is 2 (c.b_q + R(a_q, a_q)).
+    M e_2 = m22 e_2, so a_q = m22^q e_2 and A = sum a_q a_q^T is
+    e_2 e_2^T / (1 - m22^2); then sum b_q = (I - M)^-1 Q(A).
     """
     if dq is None:
         dq = deviation_quadratic(v_star, fc, table, params)
     radius = dq.spectral_radius()
     if radius >= 1.0:
         raise ContractionError(f"deviation flow not contracting: spectral radius {radius}")
-    a0 = _point_seed(eig.e_u)
-    n = a0.size
-    a_sum, res_a = _solve(np.eye(n * n) - np.kron(dq.m, dq.m), np.outer(a0, a0).ravel())
-    a_sum = a_sum.reshape(n, n)
-    b_sum, res_b = _solve(np.eye(n) - dq.m, np.einsum("kij,ij->k", dq.q, a_sum))
-    return IRSeriesResult(
-        value=2.0 * float(dq.c @ b_sum + np.sum(dq.r * a_sum)),
-        solve_residual=max(res_a, res_b),
-        n_terms=2,
-    )
+    a = 1.0 / (1.0 - dq.m[MASS, MASS] ** 2)
+    lhs, rhs = np.eye(dq.c.size) - dq.m, dq.q[:, MASS, MASS] * a
+    b = np.linalg.solve(lhs, rhs)
+    residual = float(np.max(np.abs(lhs @ b - rhs)) / np.max(np.abs(rhs)))
+    return IRSeriesResult(value=2.0 * float(dq.c @ b + dq.r[MASS, MASS] * a), solve_residual=residual, n_terms=1)
 
 
 def xi_sequence_limit(orbit: ManifoldOrbit, fc: FlowCoefficients, products: np.ndarray, kappa: float):
@@ -208,7 +194,6 @@ def normalization_constants(
 
 def one_point_residual(
     dq: DeviationQuadratic,
-    eig: EigenData,
     params: ModelParams,
     xi_inf: float,
     norms: NormalizationSet,
@@ -221,12 +206,11 @@ def one_point_residual(
     built in); xi_inf is the Xi limit along the physical seed orbit, so it
     carries the seed's kappa.  The infrared part follows the deviation
     orbit seeded with the conjugating map at the seed point along
-    -y2 z e_phi2, whose first jet is a_0 = -y2 kappa e_u: the jets
-    a_q = M^q a_0 sum to c.(I - M)^-1 a_0.
+    -y2 z e_phi2, whose first jet is a_0 = -y2 kappa e_2: the jets
+    a_q = m22^q a_0 sum to a_0 / (1 - m22).
     """
     uv = norms.y2 * (float(params.L) ** -3) * xi_inf / (1.0 - norms.z0)
-    a0 = -norms.y2 * norms.kappa * _point_seed(eig.e_u)
-    return uv + float(dq.c @ np.linalg.solve(np.eye(a0.size) - dq.m, a0))
+    return uv + float(-norms.y2 * norms.kappa * dq.c[MASS] / (1.0 - dq.m[MASS, MASS]))
 
 
 def full_report(
@@ -256,7 +240,7 @@ def full_report(
     u2, u4 = u_values(params, table, fc, v_star)
     uv = phi2_uv_reduced(fc, eig, params)
     dq = deviation_quadratic(v_star, fc, table, params)
-    ir = phi2_ir_reduced(fc, eig, table, params, v_star, dq=dq)
+    ir = phi2_ir_reduced(fc, table, params, v_star, dq=dq)
     reduced_sum = uv + ir.value
     products, kappa = mass_products(orbit, fc, eig.alpha_u)
     if kappa == 0.0:
@@ -264,7 +248,7 @@ def full_report(
     xis, xi_inf = xi_sequence_limit(orbit, fc, products, kappa)
     norms = normalization_constants(eig, params, xis, xi_inf, kappa, reduced_sum)
     two_point = norms.y2**2 * kappa**2 * reduced_sum
-    residual = one_point_residual(dq, eig, params, xi_inf, norms)
+    residual = one_point_residual(dq, params, xi_inf, norms)
 
     gbar = fc.gbar
     bands = {

@@ -266,14 +266,18 @@ def _pair_graph_table():
 
 
 _PAIR_COEF, _PAIR_ORDER = _pair_graph_table()
+# the rows beta4, beta3, beta2, beta1 with no leg on G f: all that survives at f = 0
+_VERTEX = [_leg_row(d, 0) for d in (4, 3, 2, 1)]
+_VERTEX_COEF, _VERTEX_ORDER = _PAIR_COEF[:, _VERTEX][:, :, _VERTEX], _PAIR_ORDER[_VERTEX][:, _VERTEX]
 
 
-def _graph_weights(params: ModelParams, c0: float) -> np.ndarray:
+def _graph_weights(params: ModelParams, c0: float, coef: np.ndarray, order: np.ndarray) -> np.ndarray:
     """W[k, r, s, m]: coefficient in dbeta2[k] of the order-2 graph
     row_r^T G^m row_s, where the vertices beta_(a+b) meet through m of
-    their b legs and hang the others on G f (rows as in _leg_row)."""
+    their b legs and hang the others on G f (rows as in _leg_row), from
+    the tables of _pair_graph_table or a slice of them."""
     k = np.arange(5)[:, None, None, None]
-    return _PAIR_COEF * float(params.L) ** (-params.phi_dim * _PAIR_ORDER) * c0 ** ((_PAIR_ORDER - k) // 2)
+    return coef * float(params.L) ** (-params.phi_dim * order) * c0 ** ((order - k) // 2)
 
 
 def second_order_counterterms(bc: BlockCouplings, table: CovarianceTable, params: ModelParams):
@@ -290,7 +294,7 @@ def second_order_counterterms(bc: BlockCouplings, table: CovarianceTable, params
     gf = _gamma_apply(bc.f, table, params)
     rows = np.stack([bc.beta(d) * gf**e for d in range(1, 5) for e in range(4)])
     grams = _class_grams(rows, table, params)
-    pair = np.einsum("krsm,mrs->k", _graph_weights(params, table.c0_zero), grams)
+    pair = np.einsum("krsm,mrs->k", _graph_weights(params, table.c0_zero, _PAIR_COEF, _PAIR_ORDER), grams)
     dbeta1 = {k: 0.0 for k in range(5)}
     dbeta2 = {k: float(pair[k]) for k in range(5)}
     # one vertex with all its other legs on G f: order 1 for beta, order 2 for W
@@ -377,8 +381,8 @@ class DeviationQuadratic:
         return self.m @ x + np.einsum("kij,i,j->k", self.q, x, x)
 
     def spectral_radius(self) -> float:
-        """Spectral radius of the full linearized deviation flow, f included."""
-        return max(float(np.max(np.abs(np.linalg.eigvals(self.m)))), self.lam_f)
+        """Spectral radius of the linearized flow, f included; M is lower triangular."""
+        return max(float(np.max(np.abs(np.diag(self.m)))), self.lam_f)
 
 
 def deviation_quadratic(
@@ -396,16 +400,17 @@ def deviation_quadratic(
     gamma_ball^m d_u d_v, with S_m the row sum of G^m, and the block means
     are h + d/n.  Nothing depends on per-box arrays, so the cost does not
     grow with the box count.
+
+    Gamma integrates to zero, so S_1 = 0 (the table's S_1 is rounding
+    noise); with the odd slots of h at 0, M is exactly lower triangular.
     """
     _require_zero_remainder(v_bk)
     L = float(params.L)
     phi = params.phi_dim
     # outputs (beta4, beta3, beta2, beta1, w5, w6, delta_b) as t[out, u, v, m] times u^T G^m v
     # over the couplings (beta4, beta3, beta2, beta1, w5, w6); beta_d sits in slot 4 - d
-    w = _graph_weights(params, table.c0_zero)
-    vertex = [_leg_row(d, 0) for d in (4, 3, 2, 1)]
+    pair = _graph_weights(params, table.c0_zero, _VERTEX_COEF, _VERTEX_ORDER)
     t = np.zeros((7, 6, 6, 5))
-    pair = w[:, vertex][:, :, vertex]
     t[:4, :4, :4] = -pair[4:0:-1]
     t[6, :4, :4] = pair[0]
     t[4, 0, 1, 1] = 12.0 * L ** (-5 * phi)
@@ -413,7 +418,7 @@ def deviation_quadratic(
     t = (t + t.swapaxes(1, 2)) / 2.0
 
     h = np.array([fc.gbar + v_bk.delta_g, 0.0, v_bk.mu, 0.0, 0.0, 0.0])
-    s_m = np.array([0.0] + [table.s_moments[m] for m in range(1, 5)])
+    s_m = np.array([0.0, 0.0] + [table.s_moments[m] for m in range(2, 5)])  # S_1 = 0 exactly
     lin = 2.0 * np.einsum("oijm,m,i->oj", t, s_m, h)
     lin[:6] += np.diag(L ** (3 - phi * np.array([4.0, 3.0, 2.0, 1.0, 5.0, 6.0])) / params.n_boxes)
     quad = t @ table.gamma_ball ** np.arange(5)

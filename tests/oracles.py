@@ -3,6 +3,7 @@
 import math
 from math import factorial
 
+import mpmath
 import numpy as np
 
 from hrg.dynamics import ManifoldOrbit, find_fixed_point, jacobian_at, psi_fixed_seed
@@ -233,6 +234,46 @@ def uv_reduced_oracle(fc, eig, theta, v_star, params):
     if abs(fd - curvature) > FD_CHECK_RTOL * max(abs(curvature), 1e-300):
         raise SelfCheckError(f"vacuum second derivative mismatch: analytic {curvature!r} vs fd {fd!r}")
     return curvature / (eig.alpha_u**2 - float(params.L) ** 3)
+
+
+def point_seed(v):
+    """A bulk (delta_g, mu) as a point deviation on (beta4, beta2)."""
+    return np.array([v.delta_g, 0.0, v.mu, 0.0, 0.0, 0.0])
+
+
+def stein_ir_reduced(dq, e_u):
+    """The infrared sum for any linear map M, with no use of its structure:
+    A = sum a_q a_q^T from the Kronecker form of the Stein equation
+    A = a_0 a_0^T + M A M^T, with a_0 the point seed of e_u, then
+    sum b_q = (I - M)^-1 Q(A) and the value 2 (c.sum b_q + R(A))."""
+    a0 = point_seed(e_u)
+    n = a0.size
+    a_sum = np.linalg.solve(np.eye(n * n) - np.kron(dq.m, dq.m), np.outer(a0, a0).ravel()).reshape(n, n)
+    b_sum = np.linalg.solve(np.eye(n) - dq.m, np.einsum("kij,ij->k", dq.q, a_sum))
+    return 2.0 * float(dq.c @ b_sum + np.sum(dq.r * a_sum))
+
+
+def resolvent_one_point_ir(dq, e_u, scale):
+    """Infrared part of the one-point residual, c.(I - M)^-1 a_0 with
+    a_0 = scale times the point seed of e_u, by a dense solve and one step
+    of iterative refinement: the pivoted LU alone lands up to 1.3e-15 off a
+    50-digit value for p <= 11, l <= 3, the refined solve within 2.8e-16."""
+    a0 = scale * point_seed(e_u)
+    lhs = np.eye(a0.size) - dq.m
+    x = np.linalg.solve(lhs, a0)
+    x += np.linalg.solve(lhs, a0 - lhs @ x)
+    return float(dq.c @ x)
+
+
+def mp_ir_reduced(dq, digits=50):
+    """The infrared closed form 2 (c.b + r22 a), a = 1 / (1 - m22^2),
+    b = (I - M)^-1 q[:, 2, 2] a, evaluated at `digits` digits from the
+    float M, q, c and r: the exact value the double evaluation rounds."""
+    with mpmath.workdps(digits):
+        a = 1 / (1 - mpmath.mpf(dq.m[2, 2]) ** 2)
+        lhs = mpmath.eye(6) - mpmath.matrix(dq.m.tolist())
+        b = mpmath.lu_solve(lhs, mpmath.matrix(dq.q[:, 2, 2].tolist()) * a)
+        return 2 * (mpmath.fsum(mpmath.mpf(c) * b[k] for k, c in enumerate(dq.c.tolist())) + mpmath.mpf(dq.r[2, 2]) * a)
 
 
 def dense_powers(table):

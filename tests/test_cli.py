@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrg.cli import _build_parser, dump_report, load_report, read_config, run_command
 from hrg.covariance import covariance_table
@@ -169,6 +171,49 @@ def test_report_schema_round_trip():
     assert data["value"] == 1.5
     with pytest.raises(IoError):
         load_report(text.replace('"schema_version": "2"', '"schema_version": "99"'))
+
+
+def _dump_through_17_digits(payload):
+    # the serializer as it was: every float printed to 17 significant digits
+    # and parsed back before json writes its repr
+    def walk(obj):
+        if isinstance(obj, dict):
+            return {k: walk(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [walk(v) for v in obj]
+        if isinstance(obj, (float, np.floating)):
+            return float(f"{float(obj):.17g}")
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.ndarray):
+            return walk(obj.tolist())
+        return obj
+
+    return json.dumps(walk({"schema_version": "2", **payload}), indent=2, sort_keys=True) + "\n"
+
+
+DUMP_PAYLOADS = [
+    {"a": np.float64(0.1) + np.float64(0.2), "b": 0.1 + 0.2, "c": -0.0, "d": np.float64(-0.0)},
+    {"tiny": 5e-324, "np_tiny": np.float64(5e-324), "huge": np.finfo(float).max, "third": 1.0 / 3.0},
+    {"f32": np.float32(0.1), "f32s": [np.float32(1e-45), np.float32(3.4e38), np.float32(-2.5)]},
+    {"i64": np.int64(-7), "nested": {"row": (np.int64(3), np.float64(2.0) ** -1074, "text", None, True)}},
+    {"arr": np.array([0.1, -0.0, 5e-324, 1e308]), "arr32": np.linspace(0, 1, 7, dtype=np.float32)},
+    {"int_arr": np.arange(4, dtype=np.int64), "grid": np.array([[0.1 + 0.2, 2.0 / 3.0], [1e-310, -1e-5]])},
+]
+
+
+@pytest.mark.parametrize("payload", DUMP_PAYLOADS)
+def test_dump_report_matches_17_digit_round_trip(payload):
+    # a double printed to 17 significant digits parses back to itself, so
+    # dropping that round trip leaves every byte of the output unchanged
+    assert dump_report(payload) == _dump_through_17_digits(payload)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(allow_nan=False) | st.floats(width=32, allow_nan=False).map(np.float32), max_size=8))
+def test_dump_report_matches_17_digit_round_trip_on_drawn_floats(xs):
+    payload = {"xs": xs, "arr": np.array(xs, dtype=float)}
+    assert dump_report(payload) == _dump_through_17_digits(payload)
 
 
 def test_read_config_missing_file():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrg.covariance import covariance_table, free_pairing_c_inf
-from hrg.errors import SeriesDivergenceError
+from hrg.errors import DomainError, SeriesDivergenceError
 from hrg.geometry import make_params
 from hrg.observables import (
     IRSeriesResult,
+    NormalizationSet,
     eta_phi2,
     full_report,
     normalization_constants,
@@ -37,7 +40,10 @@ from hrg.dynamics import (
 from oracles import (
     SelfCheckError,
     delta_b_value,
+    mp_ir_reduced,
     psi_vacuum_second_derivative,
+    resolvent_one_point_ir,
+    stein_ir_reduced,
     theta_vector,
     uv_reduced_oracle,
 )
@@ -187,10 +193,10 @@ def test_ir_reduced_matches_richardson_oracle(point):
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    ir = phi2_ir_reduced(fc, eig, table, params, v_star)
+    ir = phi2_ir_reduced(fc, table, params, v_star)
     assert isinstance(ir, IRSeriesResult)
     assert ir.solve_residual < 1e-13
-    assert ir.n_terms == 2
+    assert ir.n_terms == 1
     oracle, tail = _richardson_ir_oracle(fc, eig, table, params, v_star)
     assert tail < 1e-6
     assert abs(ir.value - oracle) <= tail
@@ -200,6 +206,71 @@ def test_ir_reduced_matches_richardson_oracle(point):
         assert ir.value == pytest.approx(q0 / (1 - 0.1276), rel=0.2)
 
 
+STEIN_POINTS = [(p, l, eps) for p in (2, 3, 5, 7, 11) for l in (1, 2, 3) for eps in (0.01, 0.1, 0.5, 1.0)]
+
+
+def test_ir_closed_forms_match_stein_route():
+    # the mass-line closed forms against the general route that uses no
+    # structure of M: the 36 x 36 Kronecker Stein solve and the dense
+    # (I - M) solve, at every point of the grid (the IR pieces exist even
+    # where eps is too large for the stable orbit of a report)
+    unit = NormalizationSet(z2=0.0, z0=0.0, upsilon=0.0, y0=0.0, kappa=1.0, y2=1.0)
+    for point in STEIN_POINTS:
+        params = make_params(*point, box_budget=None)
+        table = covariance_table(params)
+        fc = flow_coefficients(table, params)
+        v_star = find_fixed_point(fc, params)
+        dq = deviation_quadratic(v_star, fc, table, params)
+        e_u = unstable_eigenpair(jacobian_at(v_star, fc)).e_u
+        ir = phi2_ir_reduced(fc, table, params, v_star, dq=dq).value
+        stein = stein_ir_reduced(dq, e_u)
+        assert abs(ir - stein) <= 4e-16 * abs(stein), point
+        ir_part = one_point_residual(dq, params, 0.0, unit)  # xi_inf = 0 drops the UV part
+        want = resolvent_one_point_ir(dq, e_u, -1.0)
+        assert abs(ir_part - want) <= 4e-16 * abs(want), point
+
+
+@pytest.mark.parametrize(
+    "point", [(2, 1, 0.1), (3, 1, 0.01), (2, 2, 0.5), (5, 2, 0.1), (7, 3, 1.0), (11, 1, 0.3)], ids=str
+)
+def test_ir_reduced_within_2_ulp_of_50_digit_value(point):
+    # the double evaluation of the closed form against its 50-digit value
+    # from the same float M, q, c and r
+    params = make_params(*point, box_budget=None)
+    table = covariance_table(params)
+    fc = flow_coefficients(table, params)
+    v_star = find_fixed_point(fc, params)
+    dq = deviation_quadratic(v_star, fc, table, params)
+    ir = phi2_ir_reduced(fc, table, params, v_star, dq=dq).value
+    exact = mp_ir_reduced(dq)
+    assert abs(ir - exact) <= 2.0 * np.spacing(abs(float(exact)))
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(1, 4),
+    st.floats(-6.0, 0.0).map(lambda u: 10.0**u),  # eps in [1e-6, 1], spread over its decades
+    st.floats(0.9, 1.1),
+)
+def test_full_report_properties(p, l, eps, g_rel):
+    # every draw is either refused with DomainError or gives a normalized
+    # report with a vanishing one-point residual, the closed-form eta, and
+    # seed-independent physical outputs
+    params = make_params(p, l, eps, box_budget=None)
+    try:
+        base = full_report(params)
+        r = full_report(params, g_seed=g_rel * base.gbar)
+    except DomainError:
+        return
+    assert abs(r.two_point_normalized - 1.0) <= 1e-12
+    assert abs(r.one_point_residual) <= 1e-15
+    L = float(params.L)
+    assert abs(r.eta_phi2 + 2.0 * np.log((2.0 + L**-eps) / 3.0) / np.log(L)) <= 1e-12
+    physical = ("eta_phi2", "uv_reduced", "ir_reduced", "u2", "u4")
+    assert [getattr(r, k) for k in physical] == [getattr(base, k) for k in physical]
+
+
 def test_ir_reduced_bounded_in_eps():
     vals = {}
     for eps in (0.02, 0.1):
@@ -207,8 +278,7 @@ def test_ir_reduced_bounded_in_eps():
         table = covariance_table(params)
         fc = flow_coefficients(table, params)
         v_star = find_fixed_point(fc, params)
-        eig = unstable_eigenpair(jacobian_at(v_star, fc))
-        vals[eps] = phi2_ir_reduced(fc, eig, table, params, v_star).value
+        vals[eps] = phi2_ir_reduced(fc, table, params, v_star).value
     ratio = vals[0.02] / vals[0.1]
     assert 0.5 < ratio < 2.0
 
@@ -421,4 +491,4 @@ def test_ir_reduced_contraction_guard(m21):
     # deviation flow; the guard must refuse rather than sum a divergent series
     far = BulkVector(1.0, 0.0)
     with pytest.raises(ContractionError):
-        phi2_ir_reduced(fc, eig, table, params, far)
+        phi2_ir_reduced(fc, table, params, far)

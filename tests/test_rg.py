@@ -367,6 +367,34 @@ def test_deviation_quadratic_reproduces_dense_step(point):
             assert abs(dq.c @ x + x @ dq.r @ x - vac) <= 1e-12 * abs(vac)
 
 
+PRIMES_TO_101 = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101)
+def test_deviation_linear_map_is_lower_triangular_on_the_mass_line(p):
+    # Gamma integrates to zero (S_1 = 0) and parity keeps the odd couplings
+    # at zero, so M has exact zeros above its diagonal and in its beta2
+    # column off the diagonal, M e_2 = m22 e_2, at the fixed point and off it;
+    # its spectral radius is then read off the diagonal
+    from hrg.dynamics import find_fixed_point
+
+    for l in (1, 2, 3, 4):
+        for eps in (0.01, 0.3, 1.0):
+            params = make_params(p, l, eps, box_budget=None)
+            table = covariance_table(params)
+            fc = flow_coefficients(table, params)
+            v_star = find_fixed_point(fc, params)
+            dg, mu = 0.05 * fc.gbar, 0.5 * v_star.mu
+            for dv in ((0.0, 0.0), (dg, 0.0), (-dg, 0.0), (0.0, mu), (0.0, -mu)):
+                v = BulkVector(v_star.delta_g + dv[0], v_star.mu + dv[1])
+                m = deviation_quadratic(v, fc, table, params).m
+                off_mass = np.delete(m[:, 2], 2)
+                assert np.all(np.triu(m, 1) == 0.0) and np.all(off_mass == 0.0), (l, eps, dv)
+            dq = deviation_quadratic(v_star, fc, table, params)
+            radius = max(float(np.max(np.abs(np.linalg.eigvals(dq.m)))), dq.lam_f)
+            assert dq.spectral_radius() == pytest.approx(radius, rel=1e-14), (l, eps)
+
+
 # every (p, l) whose dense block matrix has at most 729 x 729 entries
 DENSE_PL = [(p, l) for p in (2, 3, 5, 7) for l in (1, 2, 3) if p ** (3 * l) <= 729]
 
