@@ -1,5 +1,13 @@
 """Command-line front end: parameter sweeps, CSV/JSON emission, regression support.
 
+Grammar: ``hrg [--config FILE] COMMAND [--opt VALUE | --opt=VALUE ...]``.  An
+option is named exactly or by a unique prefix (an exact ``--g`` beats the
+prefix of ``--g-rel``); given twice, its last value wins; a value starts with
+``-`` only as a number (``--r -2``); ``-h``/``--help`` prints usage at either
+level.  Every option can also come from the config file: it takes its flag,
+else the config value of ``COMMAND.key``, else that of ``key`` (the option
+name with ``_`` for ``-``), else its default, through one cast and choices check.
+
 Exit codes: 0 success, 2 domain errors and bad arguments or config values
 (machine-readable JSON on stderr), 1 internal faults.  Outputs are
 byte-deterministic for identical configs; floats are serialized in their
@@ -8,10 +16,10 @@ shortest round-trip form (Python's repr) in both JSON and CSV.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,23 +86,9 @@ def read_config(path: str) -> dict:
     return out
 
 
-def _fill(args, cfg: dict, command: str, name: str, cast, default):
-    """Flag value, else the config value (a dotted key beats the flat one)
-    cast and checked, else the default."""
-    val = getattr(args, name, None)
-    if val is None:
-        raw = cfg.get(f"{command}.{name}", cfg.get(name))
-        try:
-            val = cast(raw) if raw is not None else default
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise IoError(f"config value {name}: {exc}") from None
-        setattr(args, name, val)
-    return val
-
-
 def _nonnegative_int(text: str) -> int:
     if not text.strip().isdigit():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
 
@@ -104,105 +98,32 @@ def _float_list(text: str) -> list:
     except ValueError:
         values = []
     if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected comma-separated numbers, got {text!r}")
     return values
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports bad arguments as IoError, so they exit 2 with JSON on stderr."""
-
-    def error(self, message):
-        raise IoError(message)
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once: parsing leaves it unchanged."""
-    parser = _Parser(prog="hrg", description="hierarchical RG engine")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--l", type=int, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
-        sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("coeffs", help="covariance and flow coefficient table")
-    common(sp)
-
-    sp = sub.add_parser("flow", help="bulk orbit as CSV")
-    common(sp)
-    sp.add_argument("--g", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--steps", type=_nonnegative_int, default=None)
-
-    sp = sub.add_parser("fixed-point", help="closed-form fixed point")
-    common(sp)
-
-    sp = sub.add_parser("linearize", help="eigenvalue and eigenvector at the fixed point")
-    common(sp)
-
-    sp = sub.add_parser("critical-mass", help="stable-manifold mass above g")
-    common(sp)
-    sp.add_argument("--g", type=float, default=None)
-    sp.add_argument("--g-rel", dest="g_rel", type=float, default=None)
-
-    sp = sub.add_parser("koenigs", help="conjugating-map diagnostics")
-    common(sp)
-    sp.add_argument("--z", type=float, default=None)
-
-    sp = sub.add_parser("observables", help="full observable report")
-    common(sp)
-    sp.add_argument("--g", type=float, default=None)
-    sp.add_argument("--g-rel", dest="g_rel", type=float, default=None)
-
-    sp = sub.add_parser("sweep", help="observable sweep over eps values")
-    common(sp)
-    sp.add_argument("--eps-list", dest="eps_list", type=_float_list, default=None)
-    sp.add_argument("--threads", default=None, help="accepted for compatibility; rows run serially")
-
-    sp = sub.add_parser("mc", help="Monte Carlo covariance validation")
-    common(sp)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=_nonnegative_int, default=None)
-    sp.add_argument("--method", choices=["hierarchical", "cholesky"], default=None)
-    return parser
-
-
-def _emit(args, text: str):
-    if args.out:
+def _emit(out, text: str):
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}") from exc
+            raise IoError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _params_from(args, cfg, box_budget=DEFAULT_BOX_BUDGET):
-    cmd = args.command
-    p = _fill(args, cfg, cmd, "p", int, 2)
-    l = _fill(args, cfg, cmd, "l", int, 1)
-    eps = _fill(args, cfg, cmd, "eps", float, 0.1)
-    return make_params(p, l, eps, box_budget)
-
-
-def _bulk_from(args, cfg):
+def _bulk_from(o):
     """Parameters, scalar covariance table and flow coefficients.  No
     command reads the block matrix, so it is not built, and nothing here
     allocates per box, so the box count is not capped."""
-    params = _params_from(args, cfg, None)
+    params = make_params(o["p"], o["l"], o["eps"], None)
     table = covariance_table(params)
     return params, table, flow_coefficients(table, params)
 
 
-def _cmd_coeffs(args, cfg) -> str:
-    params, table, fc = _bulk_from(args, cfg)
+def _cmd_coeffs(o) -> str:
+    params, table, fc = _bulk_from(o)
     rows = [
         ("p", params.p),
         ("l", params.l),
@@ -228,18 +149,16 @@ def _cmd_coeffs(args, cfg) -> str:
         ("lam_g", fc.lam_g),
         ("lam_mu_free", fc.lam_mu_free),
     ]
-    if args.format == "json":
+    if o["format"] == "json":
         return dump_report({"command": "coeffs", "values": {k: v for k, v in rows}})
     return "quantity,value\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in rows)
 
 
-def _cmd_flow(args, cfg) -> str:
-    params, _, fc = _bulk_from(args, cfg)
-    g = _fill(args, cfg, "flow", "g", float, fc.gbar)
-    steps = _fill(args, cfg, "flow", "steps", _nonnegative_int, 20)
-    mu = _fill(args, cfg, "flow", "mu", float, None)
+def _cmd_flow(o) -> str:
+    params, _, fc = _bulk_from(o)
+    g, mu, steps = fc.gbar if o["g"] is None else o["g"], o["mu"], o["steps"]
     if mu is None:
-        mu = args.mu = dynamics.critical_mass(g, fc, params, method="sequence")
+        mu = dynamics.critical_mass(g, fc, params, method="sequence")
     orbit, dbs = iterate_bulk(BulkVector(g - fc.gbar, mu), fc, params, steps)
     lines = ["step,delta_g,mu,delta_b"]
     for i in range(steps):
@@ -247,8 +166,8 @@ def _cmd_flow(args, cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_fixed_point(args, cfg) -> str:
-    params, _, fc = _bulk_from(args, cfg)
+def _cmd_fixed_point(o) -> str:
+    params, _, fc = _bulk_from(o)
     v = dynamics.find_fixed_point(fc, params)
     image, _ = bulk_step(v, fc, params)
     residual = max(abs(image.delta_g - v.delta_g), abs(image.mu - v.mu))
@@ -263,8 +182,8 @@ def _cmd_fixed_point(args, cfg) -> str:
     )
 
 
-def _cmd_linearize(args, cfg) -> str:
-    params, _, fc = _bulk_from(args, cfg)
+def _cmd_linearize(o) -> str:
+    params, _, fc = _bulk_from(o)
     v = dynamics.find_fixed_point(fc, params)
     eig = dynamics.unstable_eigenpair(dynamics.jacobian_at(v, fc))
     eta = observables.eta_phi2(eig, params)
@@ -288,10 +207,11 @@ def _cmd_linearize(args, cfg) -> str:
     )
 
 
-def _cmd_critical_mass(args, cfg) -> str:
-    params, _, fc = _bulk_from(args, cfg)
-    g_rel = _fill(args, cfg, "critical-mass", "g_rel", float, None)
-    g = _fill(args, cfg, "critical-mass", "g", float, fc.gbar * g_rel if g_rel else fc.gbar)
+def _cmd_critical_mass(o) -> str:
+    params, _, fc = _bulk_from(o)
+    g_rel, g = o["g_rel"], o["g"]
+    if g is None:
+        g = fc.gbar * g_rel if g_rel else fc.gbar
     mu_seq = dynamics.critical_mass(g, fc, params, method="sequence")
     mu_bis = dynamics.critical_mass(g, fc, params, method="bisection")
     return dump_report(
@@ -305,9 +225,9 @@ def _cmd_critical_mass(args, cfg) -> str:
     )
 
 
-def _cmd_koenigs(args, cfg) -> str:
-    params, _, fc = _bulk_from(args, cfg)
-    z = _fill(args, cfg, "koenigs", "z", float, 1e-4)
+def _cmd_koenigs(o) -> str:
+    params, _, fc = _bulk_from(o)
+    z = o["z"]
     v = dynamics.find_fixed_point(fc, params)
     eig = dynamics.unstable_eigenpair(dynamics.jacobian_at(v, fc))
     w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
@@ -350,10 +270,9 @@ def _report_payload(report) -> dict:
     }
 
 
-def _cmd_observables(args, cfg) -> str:
-    params, table, fc = _bulk_from(args, cfg)
-    g_rel = _fill(args, cfg, "observables", "g_rel", float, None)
-    g = _fill(args, cfg, "observables", "g", float, None)
+def _cmd_observables(o) -> str:
+    params, table, fc = _bulk_from(o)
+    g_rel, g = o["g_rel"], o["g"]
     if g is None and g_rel is not None:
         g = g_rel * fc.gbar
     report = observables.full_report(params, g_seed=g, table=table, fc=fc)
@@ -395,14 +314,10 @@ def _sweep_row(p: int, l: int, eps: float):
     ]
 
 
-def _cmd_sweep(args, cfg) -> tuple:
-    cmd = "sweep"
-    p = _fill(args, cfg, cmd, "p", int, 2)
-    l = _fill(args, cfg, cmd, "l", int, 1)
-    eps_values = _fill(args, cfg, cmd, "eps_list", _float_list, None)
-    if eps_values is None:
+def _cmd_sweep(o) -> tuple:
+    if o["eps_list"] is None:
         raise IoError("sweep needs a nonempty --eps-list")
-    rows = [_sweep_row(p, l, eps) for eps in eps_values]
+    rows = [_sweep_row(o["p"], o["l"], eps) for eps in o["eps_list"]]
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
@@ -410,13 +325,9 @@ def _cmd_sweep(args, cfg) -> tuple:
     return "\n".join(lines) + "\n", failed
 
 
-def _cmd_mc(args, cfg) -> str:
-    params = _params_from(args, cfg)
-    r = _fill(args, cfg, "mc", "r", int, -1)
-    s = _fill(args, cfg, "mc", "s", int, 1)
-    n = _fill(args, cfg, "mc", "samples", int, 20000)
-    seed = _fill(args, cfg, "mc", "seed", _nonnegative_int, 0)
-    method = _fill(args, cfg, "mc", "method", str, "hierarchical")
+def _cmd_mc(o) -> str:
+    params = make_params(o["p"], o["l"], o["eps"], DEFAULT_BOX_BUDGET)
+    r, s, n, seed, method = o["r"], o["s"], o["samples"], o["seed"], o["method"]
     ens = mc.sample_hierarchical_field(params, r, s, n, seed, method=method)
     emp, pairing = mc.validate(ens)
     return dump_report(
@@ -435,36 +346,124 @@ def _cmd_mc(args, cfg) -> str:
     )
 
 
+class Option(NamedTuple):
+    """The cast of an option's text, the text of its default (None: the
+    command works one out) and the values it may take (any, if empty)."""
+
+    cast: Callable = str
+    default: str | None = None
+    choices: tuple = ()
+
+
+class Command(NamedTuple):
+    run: Callable  # option values -> report text, or (text, any row failed)
+    summary: str
+    options: dict  # config key -> Option
+    flags: dict  # flag -> config key; -h and --help -> None
+
+
+def _command(run, summary, **extra) -> Command:
+    options = {"p": Option(int, "2"), "l": Option(int, "1"), "eps": Option(float, "0.1"),
+               "format": Option(str, "csv", ("csv", "json")), "out": Option(), **extra}
+    flags = {"--" + key.replace("_", "-"): key for key in options}
+    return Command(run, summary, options, {**flags, "-h": None, "--help": None})
+
+
+COMMANDS = {
+    "coeffs": _command(_cmd_coeffs, "covariance and flow coefficient table"),
+    "flow": _command(_cmd_flow, "bulk orbit as CSV", g=Option(float), mu=Option(float),
+                     steps=Option(_nonnegative_int, "20")),
+    "fixed-point": _command(_cmd_fixed_point, "closed-form fixed point"),
+    "linearize": _command(_cmd_linearize, "eigenvalue and eigenvector at the fixed point"),
+    "critical-mass": _command(_cmd_critical_mass, "stable-manifold mass above g",
+                              g=Option(float), g_rel=Option(float)),
+    "koenigs": _command(_cmd_koenigs, "conjugating-map diagnostics", z=Option(float, "1e-4")),
+    "observables": _command(_cmd_observables, "full observable report",
+                            g=Option(float), g_rel=Option(float)),
+    # --threads is accepted for compatibility; rows run serially
+    "sweep": _command(_cmd_sweep, "observable sweep over eps values",
+                      eps_list=Option(_float_list), threads=Option()),
+    "mc": _command(_cmd_mc, "Monte Carlo covariance validation", r=Option(int, "-1"),
+                   s=Option(int, "1"), samples=Option(int, "20000"), seed=Option(_nonnegative_int, "0"),
+                   method=Option(str, "hierarchical", ("hierarchical", "cholesky"))),
+}
+_TOP_FLAGS = {"--config": "config", "-h": None, "--help": None}
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _usage(name=None) -> str:
+    if name is None:
+        rows = "".join(f"\n  {cmd:<15}{command.summary}" for cmd, command in COMMANDS.items())
+        return f"usage: hrg [-h] [--config FILE] COMMAND [--opt VALUE ...]\n\nhierarchical RG engine\n{rows}\n"
+    command = COMMANDS[name]
+    shape = {key: "|".join(opt.choices) or key.upper() for key, opt in command.options.items()}
+    flags = " ".join(f"[{flag} {shape[key]}]" for flag, key in command.flags.items() if key)
+    return f"usage: hrg {name} [-h] {flags}\n\n{command.summary}; options may also come from the config file\n"
+
+
+def _scan(argv, i: int, flags: dict):
+    """Read `--opt VALUE` and `--opt=VALUE` from argv[i:] up to the first
+    word that is not an option; returns ({config key: text}, index of that
+    word), or (None, i) on -h or --help."""
+    given = {}
+    while i < len(argv) and argv[i].startswith("-"):
+        name, eq, text = argv[i].partition("=")
+        hits = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+        if len(hits) != 1:
+            raise IoError(f"{'ambiguous' if hits else 'unrecognized'} option {name}")
+        key = flags[hits[0]]
+        if key is None:
+            if eq:
+                raise IoError(f"{name} takes no value")
+            return None, i
+        if not eq:
+            i += 1
+            if i == len(argv) or argv[i].startswith("-") and not _NEGATIVE_NUMBER.fullmatch(argv[i]):
+                raise IoError(f"{name} expects a value")
+            text = argv[i]
+        given[key] = text
+        i += 1
+    return given, i
+
+
+def _resolve(name: str, command: Command, given: dict, cfg: dict) -> dict:
+    """Each option's value: the flag, else the `name.key` config value, else
+    the flat `key` one, else the default, all cast and checked alike."""
+    values = {}
+    for key, opt in command.options.items():
+        text = given[key] if key in given else cfg.get(f"{name}.{key}", cfg.get(key, opt.default))
+        try:
+            values[key] = value = None if text is None else opt.cast(text)
+            if opt.choices and value not in opt.choices:
+                raise ValueError(f"{text!r} is not one of {', '.join(opt.choices)}")
+        except ValueError as exc:
+            raise IoError(f"bad value for {key}: {exc}") from None
+    return values
+
+
 def run_command(argv) -> int:
     """Execute one CLI invocation; never raises for domain errors."""
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = read_config(args.config) if args.config else {}
-        failed = False
-        if args.command == "coeffs":
-            text = _cmd_coeffs(args, cfg)
-        elif args.command == "flow":
-            text = _cmd_flow(args, cfg)
-        elif args.command == "fixed-point":
-            text = _cmd_fixed_point(args, cfg)
-        elif args.command == "linearize":
-            text = _cmd_linearize(args, cfg)
-        elif args.command == "critical-mass":
-            text = _cmd_critical_mass(args, cfg)
-        elif args.command == "koenigs":
-            text = _cmd_koenigs(args, cfg)
-        elif args.command == "observables":
-            text = _cmd_observables(args, cfg)
-        elif args.command == "sweep":
-            text, failed = _cmd_sweep(args, cfg)
-        elif args.command == "mc":
-            text = _cmd_mc(args, cfg)
-        else:  # pragma: no cover - argparse enforces the choice
-            raise IoError(f"unknown command {args.command!r}")
-        _emit(args, text)
+        top, i = _scan(argv, 0, _TOP_FLAGS)
+        if top is None:
+            sys.stdout.write(_usage())
+            return 0
+        name = argv[i] if i < len(argv) else ""
+        command = COMMANDS.get(name)
+        if command is None:
+            raise IoError(f"expected a command ({', '.join(COMMANDS)}), got {name!r}")
+        given, i = _scan(argv, i + 1, command.flags)
+        if given is None:
+            sys.stdout.write(_usage(name))
+            return 0
+        if i < len(argv):
+            raise IoError(f"unexpected argument {argv[i]!r}")
+        cfg = read_config(top["config"]) if top.get("config") else {}
+        values = _resolve(name, command, given, cfg)
+        text = command.run(values)
+        text, failed = text if isinstance(text, tuple) else (text, False)
+        _emit(values["out"], text)
         return 2 if failed else 0
-    except SystemExit as exc:  # --help
-        return int(exc.code) if exc.code else 0
     except HRGError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2

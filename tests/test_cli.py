@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrg.cli import _build_parser, dump_report, load_report, read_config, run_command
+from hrg.cli import dump_report, load_report, read_config, run_command
 from hrg.covariance import covariance_table
 from hrg.dynamics import find_fixed_point, jacobian_at, kappa_tail_log, unstable_eigenpair
 from hrg.errors import IoError
@@ -145,6 +145,52 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert "eps,0.9\n" in out  # command line beats the config
 
 
+def test_config_sets_format_and_out(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    rc, out, _ = run(["--config", str(cfg), "coeffs"])
+    assert rc == 0
+    assert load_report(out)["values"]["A5"] == 7.0
+    dest = tmp_path / "coeffs.csv"
+    cfg.write_text(f"coeffs.out = {dest}\n")
+    rc, out, _ = run(["--config", str(cfg), "coeffs"])
+    assert rc == 0 and out == ""
+    assert "A5,7.0\n" in dest.read_text()
+
+
+# argv, then the exit code and the start of stdout on success; every exit 2
+# here is a bad command line
+GRAMMAR = [
+    (["coeffs", "--p"], 2, None),
+    (["coeffs", "--p=3"], 0, "quantity,value\np,3\n"),
+    (["coeffs", "--e", "0.1"], 0, "quantity,value\n"),
+    (["mc", "--samp", "1000", "--r", "-1", "--s", "0"], 0, "{"),
+    (["critical-mass", "--g-", "1.05"], 0, "{"),
+    (["coeffs", "--p", "3", "--p", "2"], 0, "quantity,value\np,2\n"),
+    (["--config"], 2, None),
+    ([], 2, None),
+    (["coeffs", "extra"], 2, None),
+    (["coeffs", "--", "--p", "2"], 2, None),
+    (["coeffs", "--config", "x"], 2, None),
+    (["bogus"], 2, None),
+    (["coeffs", "--format", "xml"], 2, None),
+    (["mc", "--method", "foo"], 2, None),
+    (["--help"], 0, "usage: hrg"),
+    (["coeffs", "--help"], 0, "usage: hrg"),
+    (["coeffs", "-h"], 0, "usage: hrg"),
+]
+
+
+@pytest.mark.parametrize("argv, code, head", GRAMMAR)
+def test_command_line_grammar(argv, code, head):
+    rc, out, err = run(argv)
+    assert rc == code
+    if code == 2:
+        assert out == "" and json.loads(err)["error"] == "IoError"
+    else:
+        assert out.startswith(head) and err == ""
+
+
 def test_bad_config_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals\n")
@@ -268,6 +314,14 @@ def test_mc_negative_seed_exits_2(tmp_path):
     _assert_input_error(*run(["--config", str(cfg), "mc"])[::2])
 
 
+def test_mc_unknown_method_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = foo\nsamples = 1000\n")
+    rc, out, err = run(["--config", str(cfg), "mc"])
+    _assert_input_error(rc, err)
+    assert out == ""
+
+
 def test_sweep_bad_eps_list_exits_2(tmp_path):
     rc, out, err = run(["sweep", "--eps-list", "0.1,abc"])
     _assert_input_error(rc, err)
@@ -339,13 +393,11 @@ def test_one_parser_serves_many_calls():
         ["--help"],
         ["observables", "--help"],
     )
-    cached = [run(argv) for argv in argvs]
-    fresh = []
-    for argv in argvs:
-        _build_parser.cache_clear()
-        fresh.append(run(argv))
-    assert cached == fresh
-    (rc_bad, out_bad, err_bad), (rc_ok, out_ok, _), (rc_help, out_help, _), _ = cached
+    # a call leaves nothing behind that changes the next one
+    first = [run(argv) for argv in argvs]
+    again = [run(argv) for argv in reversed(argvs)][::-1]
+    assert first == again
+    (rc_bad, out_bad, err_bad), (rc_ok, out_ok, _), (rc_help, out_help, _), _ = first
     assert rc_bad == 2 and out_bad == "" and json.loads(err_bad)["error"] == "IoError"
     assert rc_ok == 0 and load_report(out_ok)["command"] == "observables"
     assert rc_help == 0 and out_help.startswith("usage: hrg")
