@@ -211,7 +211,7 @@ def _cmd_critical_mass(o) -> str:
     params, _, fc = _bulk_from(o)
     g_rel, g = o["g_rel"], o["g"]
     if g is None:
-        g = fc.gbar * g_rel if g_rel else fc.gbar
+        g = fc.gbar if g_rel is None else g_rel * fc.gbar
     mu_seq = dynamics.critical_mass(g, fc, params, method="sequence")
     mu_bis = dynamics.critical_mass(g, fc, params, method="bisection")
     return dump_report(
@@ -363,14 +363,14 @@ class Command(NamedTuple):
 
 
 def _command(run, summary, **extra) -> Command:
-    options = {"p": Option(int, "2"), "l": Option(int, "1"), "eps": Option(float, "0.1"),
-               "format": Option(str, "csv", ("csv", "json")), "out": Option(), **extra}
+    options = {"p": Option(int, "2"), "l": Option(int, "1"), "eps": Option(float, "0.1"), "out": Option(), **extra}
     flags = {"--" + key.replace("_", "-"): key for key in options}
     return Command(run, summary, options, {**flags, "-h": None, "--help": None})
 
 
 COMMANDS = {
-    "coeffs": _command(_cmd_coeffs, "covariance and flow coefficient table"),
+    "coeffs": _command(_cmd_coeffs, "covariance and flow coefficient table",
+                       format=Option(str, "csv", ("csv", "json"))),
     "flow": _command(_cmd_flow, "bulk orbit as CSV", g=Option(float), mu=Option(float),
                      steps=Option(_nonnegative_int, "20")),
     "fixed-point": _command(_cmd_fixed_point, "closed-form fixed point"),
@@ -388,7 +388,7 @@ COMMANDS = {
                    method=Option(str, "hierarchical", ("hierarchical", "cholesky"))),
 }
 _TOP_FLAGS = {"--config": "config", "-h": None, "--help": None}
-_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _usage(name=None) -> str:

@@ -9,8 +9,8 @@ e_u = (0, 1), so the ultraviolet piece is the closed form
 deviation step at the fixed point is exactly linear plus bilinear, with
 closed-form coefficients, and its linear map M keeps the mass line,
 M e_2 = m22 e_2, so the infrared and one-point series over the orbit's
-z-jets are scalar sums along it plus one 6 x 6 (I - M) solve at any box
-count, whose residual the report carries.  The Stein, finite-difference
+z-jets are scalar sums along it plus one triangular (I - M) solve at any
+box count, whose residual the report carries.  The Stein, finite-difference
 and block-step routes that check these closed forms live with the tests.
 """
 
@@ -150,11 +150,14 @@ def phi2_ir_reduced(
     radius = dq.spectral_radius()
     if radius >= 1.0:
         raise ContractionError(f"deviation flow not contracting: spectral radius {radius}")
-    a = 1.0 / (1.0 - dq.m[MASS, MASS] ** 2)
-    lhs, rhs = np.eye(dq.c.size) - dq.m, dq.q[:, MASS, MASS] * a
-    b = np.linalg.solve(lhs, rhs)
-    residual = float(np.max(np.abs(lhs @ b - rhs)) / np.max(np.abs(rhs)))
-    return IRSeriesResult(value=2.0 * float(dq.c @ b + dq.r[MASS, MASS] * a), solve_residual=residual, n_terms=1)
+    a = 1.0 / (1.0 - float(dq.m[MASS, MASS]) ** 2)
+    rhs, b, residual = (dq.q[:, MASS, MASS] * a).tolist(), [], 0.0
+    for i, row in enumerate(dq.m.tolist()):  # M is lower triangular: forward substitution
+        known = rhs[i] + sum(map(float.__mul__, row, b))
+        b.append(known / (1.0 - row[i]))
+        residual = max(residual, abs((1.0 - row[i]) * b[i] - known))
+    value = 2.0 * (sum(map(float.__mul__, dq.c.tolist(), b)) + float(dq.r[MASS, MASS]) * a)
+    return IRSeriesResult(value=value, solve_residual=residual / max(map(abs, rhs)), n_terms=1)
 
 
 def xi_sequence_limit(orbit: ManifoldOrbit, fc: FlowCoefficients, products: np.ndarray, kappa: float):

@@ -271,13 +271,29 @@ _VERTEX = [_leg_row(d, 0) for d in (4, 3, 2, 1)]
 _VERTEX_COEF, _VERTEX_ORDER = _PAIR_COEF[:, _VERTEX][:, :, _VERTEX], _PAIR_ORDER[_VERTEX][:, _VERTEX]
 
 
-def _graph_weights(params: ModelParams, c0: float, coef: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _deviation_graphs():
+    """The nonzero graphs u^T G^m v of deviation_quadratic, one entry per
+    ordered (u, v): the vertex graphs, negated into the outputs beta4..beta1,
+    12 beta4^T G beta3 -> w5 split over both orders and 8 beta4^T G beta4 -> w6.
+    Per entry: u, m, coefficient, powers of L^-phi and c0, flat (out, u, v), (out, v)."""
+    k, u, v, m = np.nonzero(_VERTEX_COEF)
+    order = _VERTEX_ORDER[u, v, m]
+    out = np.append(np.where(k > 0, 4 - k, 6), (4, 4, 5))
+    coef = np.append(np.where(k > 0, -1.0, 1.0) * _VERTEX_COEF[k, u, v, m], (6.0, 6.0, 8.0))
+    lpow, cpow = np.append(order, (5, 5, 6)), np.append((order - k) // 2, (0, 0, 0))
+    u, v, m = np.append(u, (0, 1, 0)), np.append(v, (1, 0, 0)), np.append(m, (1, 1, 1))
+    return u, m, coef, lpow, cpow, (out * 6 + u) * 6 + v, out * 6 + v
+
+
+_DEVIATION_GRAPHS = _deviation_graphs()
+
+
+def _graph_weights(params: ModelParams, c0: float) -> np.ndarray:
     """W[k, r, s, m]: coefficient in dbeta2[k] of the order-2 graph
     row_r^T G^m row_s, where the vertices beta_(a+b) meet through m of
-    their b legs and hang the others on G f (rows as in _leg_row), from
-    the tables of _pair_graph_table or a slice of them."""
+    their b legs and hang the others on G f (rows as in _leg_row)."""
     k = np.arange(5)[:, None, None, None]
-    return coef * float(params.L) ** (-params.phi_dim * order) * c0 ** ((order - k) // 2)
+    return _PAIR_COEF * float(params.L) ** (-params.phi_dim * _PAIR_ORDER) * c0 ** ((_PAIR_ORDER - k) // 2)
 
 
 def second_order_counterterms(bc: BlockCouplings, table: CovarianceTable, params: ModelParams):
@@ -294,7 +310,7 @@ def second_order_counterterms(bc: BlockCouplings, table: CovarianceTable, params
     gf = _gamma_apply(bc.f, table, params)
     rows = np.stack([bc.beta(d) * gf**e for d in range(1, 5) for e in range(4)])
     grams = _class_grams(rows, table, params)
-    pair = np.einsum("krsm,mrs->k", _graph_weights(params, table.c0_zero, _PAIR_COEF, _PAIR_ORDER), grams)
+    pair = np.einsum("krsm,mrs->k", _graph_weights(params, table.c0_zero), grams)
     dbeta1 = {k: 0.0 for k in range(5)}
     dbeta2 = {k: float(pair[k]) for k in range(5)}
     # one vertex with all its other legs on G f: order 1 for beta, order 2 for W
@@ -382,7 +398,7 @@ class DeviationQuadratic:
 
     def spectral_radius(self) -> float:
         """Spectral radius of the linearized flow, f included; M is lower triangular."""
-        return max(float(np.max(np.abs(np.diag(self.m)))), self.lam_f)
+        return max(*map(abs, self.m.diagonal().tolist()), self.lam_f)
 
 
 def deviation_quadratic(
@@ -399,29 +415,20 @@ def deviation_quadratic(
     origin box) each is n S_m h_u h_v + S_m (h_u d_v + d_u h_v) +
     gamma_ball^m d_u d_v, with S_m the row sum of G^m, and the block means
     are h + d/n.  Nothing depends on per-box arrays, so the cost does not
-    grow with the box count.
+    grow with the box count: each graph of _deviation_graphs is binned in.
 
     Gamma integrates to zero, so S_1 = 0 (the table's S_1 is rounding
     noise); with the odd slots of h at 0, M is exactly lower triangular.
     """
     _require_zero_remainder(v_bk)
-    L = float(params.L)
-    phi = params.phi_dim
-    # outputs (beta4, beta3, beta2, beta1, w5, w6, delta_b) as t[out, u, v, m] times u^T G^m v
-    # over the couplings (beta4, beta3, beta2, beta1, w5, w6); beta_d sits in slot 4 - d
-    pair = _graph_weights(params, table.c0_zero, _VERTEX_COEF, _VERTEX_ORDER)
-    t = np.zeros((7, 6, 6, 5))
-    t[:4, :4, :4] = -pair[4:0:-1]
-    t[6, :4, :4] = pair[0]
-    t[4, 0, 1, 1] = 12.0 * L ** (-5 * phi)
-    t[5, 0, 0, 1] = 8.0 * L ** (-6 * phi)
-    t = (t + t.swapaxes(1, 2)) / 2.0
-
+    L, phi = float(params.L), params.phi_dim
+    u, m, coef, lpow, cpow, quad_at, lin_at = _DEVIATION_GRAPHS
+    w = coef * L ** (-phi * lpow) * table.c0_zero ** cpow
     h = np.array([fc.gbar + v_bk.delta_g, 0.0, v_bk.mu, 0.0, 0.0, 0.0])
-    s_m = np.array([0.0, 0.0] + [table.s_moments[m] for m in range(2, 5)])  # S_1 = 0 exactly
-    lin = 2.0 * np.einsum("oijm,m,i->oj", t, s_m, h)
+    s_m = np.array([0.0, 0.0] + [table.s_moments[j] for j in range(2, 5)])  # S_1 = 0 exactly
+    lin = 2.0 * np.bincount(lin_at, w * s_m[m] * h[u], minlength=42).reshape(7, 6)
     lin[:6] += np.diag(L ** (3 - phi * np.array([4.0, 3.0, 2.0, 1.0, 5.0, 6.0])) / params.n_boxes)
-    quad = t @ table.gamma_ball ** np.arange(5)
+    quad = np.bincount(quad_at, w * table.gamma_ball**m, minlength=252).reshape(7, 6, 6)
     return DeviationQuadratic(m=lin[:6], q=quad[:6], c=lin[6], r=quad[6], lam_f=L**-phi)
 
 

@@ -276,6 +276,43 @@ def mp_ir_reduced(dq, digits=50):
         return 2 * (mpmath.fsum(mpmath.mpf(c) * b[k] for k, c in enumerate(dq.c.tolist())) + mpmath.mpf(dq.r[2, 2]) * a)
 
 
+def dense_graph_tensor_quadratic(v_bk, fc, table, params):
+    """(M, Q, c, R) of the f = 0 deviation step and vacuum at v_bk from the
+    dense graph tensor t[out, u, v, m]: outputs (beta4, beta3, beta2, beta1,
+    w5, w6, delta_b), couplings (beta4, beta3, beta2, beta1, w5, w6) and
+    powers m = 0..4 of G.  Vertices beta_d1 and beta_d2 joined by m lines,
+    with no leg left on G f, give Wick order k the weight
+    d1! d2! / (a1! a2! m!) connection_coeff(a1, a2, k) / 2 times
+    L^-((a1 + a2) phi) c0^((a1 + a2 - k) // 2), a_i = d_i - m, negated in
+    the coupling outputs; the W graphs 12 beta4^T G beta3 and
+    8 beta4^T G beta4 feed w5 and w6.  t is symmetrized in (u, v) and
+    contracted by einsum with the moments S_m and the bulk couplings h,
+    and by a matmul with gamma_ball^m."""
+    L = float(params.L)
+    phi = params.phi_dim
+    c0 = table.c0_zero
+    t = np.zeros((7, 6, 6, 5))
+    for d1 in range(1, 5):
+        for d2 in range(1, 5):
+            for m in range(1, min(d1, d2) + 1):
+                a1, a2 = d1 - m, d2 - m
+                base = factorial(d1) * factorial(d2) / (factorial(a1) * factorial(a2) * factorial(m))
+                for k in range(5):
+                    cc = connection_coeff(a1, a2, k)
+                    if cc:
+                        w = 0.5 * base * cc * L ** (-(a1 + a2) * phi) * c0 ** ((a1 + a2 - k) // 2)
+                        t[4 - k if k else 6, 4 - d1, 4 - d2, m] = -w if k else w
+    t[4, 0, 1, 1] = 12.0 * L ** (-5 * phi)
+    t[5, 0, 0, 1] = 8.0 * L ** (-6 * phi)
+    t = (t + t.swapaxes(1, 2)) / 2.0
+    h = np.array([fc.gbar + v_bk.delta_g, 0.0, v_bk.mu, 0.0, 0.0, 0.0])
+    s_m = np.array([0.0, 0.0] + [table.s_moments[j] for j in range(2, 5)])  # S_1 = 0 exactly
+    lin = 2.0 * np.einsum("oijm,m,i->oj", t, s_m, h)
+    lin[:6] += np.diag(L ** (3 - phi * np.array([4.0, 3.0, 2.0, 1.0, 5.0, 6.0])) / params.n_boxes)
+    quad = t @ table.gamma_ball ** np.arange(5)
+    return lin[:6], quad[:6], lin[6], quad[6]
+
+
 def dense_powers(table):
     """Elementwise powers G^m, m = 1..4, of the dense L^3 x L^3 block matrix."""
     return {m: table.block_matrix**m for m in range(1, 5)}

@@ -178,6 +178,11 @@ GRAMMAR = [
     (["--help"], 0, "usage: hrg"),
     (["coeffs", "--help"], 0, "usage: hrg"),
     (["coeffs", "-h"], 0, "usage: hrg"),
+    (["flow", "--mu", "-1e-5", "--steps", "1"], 0, "step,delta_g,mu,delta_b\n0,0.0,-1e-05,"),
+    (["flow", "--mu=-1e-5", "--steps", "1"], 0, "step,delta_g,mu,delta_b\n0,0.0,-1e-05,"),
+    (["flow", "--mu", "-.5E+0", "--steps", "1"], 0, "step,delta_g,mu,delta_b\n0,0.0,-0.5,"),
+    (["fixed-point", "--format", "csv"], 2, None),
+    (["observables", "--format=json"], 2, None),
 ]
 
 
@@ -288,6 +293,19 @@ def test_critical_mass_command():
     assert rc == 0
     data = load_report(out)
     assert data["difference"] <= 1e-8
+
+
+def test_g_rel_zero_seeds_g_zero_in_both_commands():
+    # --g-rel scales gbar whenever it is given, 0 included: g = 0 lies
+    # outside the manifold radius, so both commands refuse it alike
+    params = make_params(2, 1, 0.1)
+    gbar = flow_coefficients(covariance_table(params), params).gbar
+    for command in ("critical-mass", "observables"):
+        rc, out, err = run([command, "--p", "2", "--l", "1", "--eps", "0.1", "--g-rel", "0"])
+        assert rc == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ManifoldRadiusError", command
+        assert f"|g - gbar| = {gbar:.3e}" in payload["message"], command
 
 
 def test_observables_g_rel_flag():

@@ -464,6 +464,23 @@ def test_escape_bracket_guard(m21):
         ), params)
 
 
+@pytest.mark.parametrize("flip", [1.0, -1.0])
+def test_escape_bracket_guard_refuses_one_undecided_end(m21, monkeypatch, flip):
+    # two escape tests, and a guard between the two bracket ends' first
+    # images: one end escapes, the other is still undecided (side 0)
+    import hrg.dynamics
+
+    params, table, fc, v_star, eig = m21
+    fc = _synthetic(fc, a2=flip * fc.a2)  # a2 -> -a2 mirrors the mass map
+    lo_img, hi_img = (bulk_step(BulkVector(0.0, mu), fc, params)[0].mu for mu in (-10.0 * fc.gbar, 10.0 * fc.gbar))
+    factor = 0.5 * (abs(lo_img) + abs(hi_img)) / fc.gbar
+    assert factor >= 10.0 and abs(abs(lo_img) - abs(hi_img)) > 1e-6 * factor * fc.gbar
+    monkeypatch.setattr(hrg.dynamics, "ESCAPE_MAX_STEPS", 2)
+    monkeypatch.setattr(hrg.dynamics, "ESCAPE_GUARD_FACTOR", factor)
+    with pytest.raises(EscapeAmbiguousError):
+        _critical_mass_bisection(0.0, fc, params)
+
+
 def _bisect_both(delta_g0, fc, params):
     """Both bisections at one point: the float result, or the exception type."""
     out = []

@@ -230,20 +230,36 @@ def test_ir_closed_forms_match_stein_route():
         assert abs(ir_part - want) <= 4e-16 * abs(want), point
 
 
-@pytest.mark.parametrize(
-    "point", [(2, 1, 0.1), (3, 1, 0.01), (2, 2, 0.5), (5, 2, 0.1), (7, 3, 1.0), (11, 1, 0.3)], ids=str
-)
+ULP_POINTS = [(2, 1, 0.1), (3, 1, 0.01), (2, 2, 0.5), (5, 2, 0.1), (7, 3, 1.0), (11, 1, 0.3)]
+ULP_POINTS += [(p, l, eps) for p in (2, 3, 5, 7, 11) for l in (1, 2, 3) for eps in (1e-3, 0.01, 0.1, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("point", list(dict.fromkeys(ULP_POINTS)), ids=str)
 def test_ir_reduced_within_2_ulp_of_50_digit_value(point):
-    # the double evaluation of the closed form against its 50-digit value
-    # from the same float M, q, c and r
+    # the forward substitution through the triangular (I - M) against the
+    # 50-digit LU solve of the closed form from the same float M, q, c and r
     params = make_params(*point, box_budget=None)
     table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     dq = deviation_quadratic(v_star, fc, table, params)
-    ir = phi2_ir_reduced(fc, table, params, v_star, dq=dq).value
+    ir = phi2_ir_reduced(fc, table, params, v_star, dq=dq)
     exact = mp_ir_reduced(dq)
-    assert abs(ir - exact) <= 2.0 * np.spacing(abs(float(exact)))
+    assert abs(ir.value - exact) <= 2.0 * np.spacing(abs(float(exact)))
+    assert ir.solve_residual < 1e-15
+
+
+def test_report_runs_without_einsum_or_dense_solves(monkeypatch):
+    # the report path bins the deviation graphs and solves (I - M) by
+    # forward substitution: it calls neither np.einsum nor np.linalg.solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route on the report path")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for point in [(2, 1, 0.1), (3, 2, 0.01), (5, 1, 0.5)]:
+        report = full_report(make_params(*point))
+        assert abs(report.two_point_normalized - 1.0) <= 1e-10
 
 
 @settings(max_examples=60)

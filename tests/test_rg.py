@@ -25,7 +25,13 @@ from hrg.rg import (
     uv_explicit_series,
 )
 from hrg.wick import connection_coeff
-from oracles import dense_block_outputs, dense_counterterms, dense_deviation_quadratic, dense_powers
+from oracles import (
+    dense_block_outputs,
+    dense_counterterms,
+    dense_deviation_quadratic,
+    dense_graph_tensor_quadratic,
+    dense_powers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -393,6 +399,27 @@ def test_deviation_linear_map_is_lower_triangular_on_the_mass_line(p):
             dq = deviation_quadratic(v_star, fc, table, params)
             radius = max(float(np.max(np.abs(np.linalg.eigvals(dq.m)))), dq.lam_f)
             assert dq.spectral_radius() == pytest.approx(radius, rel=1e-14), (l, eps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_graph_list_matches_dense_graph_tensor(p):
+    # the nonzero graphs binned one by one against the dense symmetrized
+    # graph tensor contracted by einsum and matmul, at the fixed point and
+    # off it: the same exact zeros, and each map within 4 ulp of its largest
+    # entry (the two routes sum the graphs in different orders)
+    from hrg.dynamics import find_fixed_point
+
+    for l in (1, 2, 3):
+        for eps in (1e-3, 0.01, 0.1, 0.5, 1.0):
+            params = make_params(p, l, eps, box_budget=None)
+            table = covariance_table(params)
+            fc = flow_coefficients(table, params)
+            v_star = find_fixed_point(fc, params)
+            for v in (v_star, BulkVector(0.3 * fc.gbar, -2.0 * v_star.mu), BulkVector(-0.05 * fc.gbar, 0.5 * v_star.mu)):
+                dq = deviation_quadratic(v, fc, table, params)
+                for got, want in zip((dq.m, dq.q, dq.c, dq.r), dense_graph_tensor_quadratic(v, fc, table, params)):
+                    assert np.array_equal(got != 0.0, want != 0.0), (l, eps, v)
+                    assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(want)), (l, eps, v)
 
 
 # every (p, l) whose dense block matrix has at most 729 x 729 entries
