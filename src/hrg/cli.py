@@ -2,11 +2,13 @@
 
 Grammar: ``hrg [--config FILE] COMMAND [--opt VALUE | --opt=VALUE ...]``.  An
 option is named exactly or by a unique prefix (an exact ``--g`` beats the
-prefix of ``--g-rel``); given twice, its last value wins; a value starts with
-``-`` only as a number (``--r -2``); ``-h``/``--help`` prints usage at either
-level.  Every option can also come from the config file: it takes its flag,
-else the config value of ``COMMAND.key``, else that of ``key`` (the option
-name with ``_`` for ``-``), else its default, through one cast and choices check.
+prefix of ``--g-rel``, and another command's full option name is no prefix:
+``sweep`` refuses ``--eps``); given twice, its last value wins; a value
+starts with ``-`` only as a number (``--r -2``); ``-h``/``--help`` prints
+usage at either level.  Every option can also come from the config file: it
+takes its flag, else the config value of ``COMMAND.key``, else that of
+``key`` (the option name with ``_`` for ``-``), else its default, through
+one cast and choices check.
 
 Exit codes: 0 success, 2 domain errors and bad arguments or config values
 (machine-readable JSON on stderr), 1 internal faults.  Outputs are
@@ -363,7 +365,10 @@ class Command(NamedTuple):
 
 
 def _command(run, summary, **extra) -> Command:
+    """A command with the shared options p, l, eps and out plus `extra`;
+    an extra option set to None drops a shared one."""
     options = {"p": Option(int, "2"), "l": Option(int, "1"), "eps": Option(float, "0.1"), "out": Option(), **extra}
+    options = {key: opt for key, opt in options.items() if opt is not None}
     flags = {"--" + key.replace("_", "-"): key for key in options}
     return Command(run, summary, options, {**flags, "-h": None, "--help": None})
 
@@ -380,14 +385,13 @@ COMMANDS = {
     "koenigs": _command(_cmd_koenigs, "conjugating-map diagnostics", z=Option(float, "1e-4")),
     "observables": _command(_cmd_observables, "full observable report",
                             g=Option(float), g_rel=Option(float)),
-    # --threads is accepted for compatibility; rows run serially
-    "sweep": _command(_cmd_sweep, "observable sweep over eps values",
-                      eps_list=Option(_float_list), threads=Option()),
+    "sweep": _command(_cmd_sweep, "observable sweep over eps values", eps=None, eps_list=Option(_float_list)),
     "mc": _command(_cmd_mc, "Monte Carlo covariance validation", r=Option(int, "-1"),
                    s=Option(int, "1"), samples=Option(int, "20000"), seed=Option(_nonnegative_int, "0"),
                    method=Option(str, "hierarchical", ("hierarchical", "cholesky"))),
 }
 _TOP_FLAGS = {"--config": "config", "-h": None, "--help": None}
+_EVERY_FLAG = {flag for command in COMMANDS.values() for flag in command.flags}
 _NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -408,7 +412,10 @@ def _scan(argv, i: int, flags: dict):
     given = {}
     while i < len(argv) and argv[i].startswith("-"):
         name, eq, text = argv[i].partition("=")
-        hits = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+        if name in flags or name in _EVERY_FLAG:  # a full option name is no prefix: sweep refuses --eps
+            hits = [name] if name in flags else []
+        else:
+            hits = [flag for flag in flags if flag.startswith(name)]
         if len(hits) != 1:
             raise IoError(f"{'ambiguous' if hits else 'unrecognized'} option {name}")
         key = flags[hits[0]]

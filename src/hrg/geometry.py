@@ -46,7 +46,6 @@ class ModelParams:
     eps: float
     L: int
     phi_dim: float
-    box_budget: int | None = DEFAULT_BOX_BUDGET
 
     @property
     def n_boxes(self) -> int:
@@ -77,7 +76,7 @@ def make_params(p: int, l: int, eps: float, box_budget: int | None = DEFAULT_BOX
     if box_budget is not None and p ** (3 * l) > box_budget:
         raise BoxBudgetError(f"p^(3l)={p**(3*l)} exceeds box budget {box_budget}")
     L = p**l
-    return ModelParams(p=p, l=l, eps=float(eps), L=L, phi_dim=(3.0 - eps) / 4.0, box_budget=box_budget)
+    return ModelParams(p=p, l=l, eps=float(eps), L=L, phi_dim=(3.0 - eps) / 4.0)
 
 
 @dataclass(frozen=True)

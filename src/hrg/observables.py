@@ -34,8 +34,6 @@ from .errors import ContractionError, SeriesDivergenceError
 from .geometry import ModelParams
 from .rg import BulkVector, DeviationQuadratic, FlowCoefficients, deviation_quadratic, flow_coefficients
 
-U_SERIES_RTOL = 1e-14  # stop the u4 scale series once a term falls below this share
-
 
 @dataclass(frozen=True)
 class NormalizationSet:
@@ -80,7 +78,8 @@ def eta_phi2(eig: EigenData, params: ModelParams) -> float:
 
 def u_values(params: ModelParams, table: CovarianceTable, fc: FlowCoefficients, v_star: BulkVector):
     """Connected two- and four-point values of the elementary field on the
-    unit box, from the explicit scale series with closed inner sums."""
+    unit box.  The u4 scale series is geometric in x = L^(-2 phi) and
+    y = x^2, and is summed in closed form."""
     L = float(params.L)
     x = L ** (-2.0 * params.phi_dim)
     s2, s3, s4 = table.s_moments[2], table.s_moments[3], table.s_moments[4]
@@ -90,22 +89,13 @@ def u_values(params: ModelParams, table: CovarianceTable, fc: FlowCoefficients, 
 
     u2 = free_pairing_c_inf(params) - 2.0 * s2 * mu_star / (1.0 - x)
 
-    total = 0.0
-    inner = 0.0  # sum_{n<q} n x^n, updated incrementally
-    q = 0
-    while True:
-        geom = (1.0 - x**q) / (1.0 - x)
-        bracket = (
-            s4 * x ** (2 * q)
-            + 6.0 * q * s2 * g0**2 * x ** (2 * q)
-            + 12.0 * x**q * inner * s2 * g0**2
-            + 4.0 * x**q * geom * g0 * s3
-        )
-        total += bracket
-        inner += q * x**q
-        q += 1
-        if q > 4 and bracket < U_SERIES_RTOL * total:
-            break
+    y = x * x
+    total = (
+        s4 / (1.0 - y)
+        + 6.0 * s2 * g0**2 * y / (1.0 - y) ** 2
+        + 12.0 * s2 * g0**2 * x * y / ((1.0 - x) * (1.0 - y) ** 2)
+        + 4.0 * g0 * s3 * x / ((1.0 - x) * (1.0 - y))
+    )
     u4 = -24.0 * g_star * total
     return u2, u4
 

@@ -417,15 +417,15 @@ def deviation_quadratic(
     are h + d/n.  Nothing depends on per-box arrays, so the cost does not
     grow with the box count: each graph of _deviation_graphs is binned in.
 
-    Gamma integrates to zero, so S_1 = 0 (the table's S_1 is rounding
-    noise); with the odd slots of h at 0, M is exactly lower triangular.
+    Gamma integrates to zero, so the table's S_1 is 0 exactly; with the odd
+    slots of h at 0, M is exactly lower triangular.
     """
     _require_zero_remainder(v_bk)
     L, phi = float(params.L), params.phi_dim
     u, m, coef, lpow, cpow, quad_at, lin_at = _DEVIATION_GRAPHS
     w = coef * L ** (-phi * lpow) * table.c0_zero ** cpow
     h = np.array([fc.gbar + v_bk.delta_g, 0.0, v_bk.mu, 0.0, 0.0, 0.0])
-    s_m = np.array([0.0, 0.0] + [table.s_moments[j] for j in range(2, 5)])  # S_1 = 0 exactly
+    s_m = np.array([0.0] + [table.s_moments[j] for j in range(1, 5)])
     lin = 2.0 * np.bincount(lin_at, w * s_m[m] * h[u], minlength=42).reshape(7, 6)
     lin[:6] += np.diag(L ** (3 - phi * np.array([4.0, 3.0, 2.0, 1.0, 5.0, 6.0])) / params.n_boxes)
     quad = np.bincount(quad_at, w * table.gamma_ball**m, minlength=252).reshape(7, 6, 6)

@@ -8,6 +8,7 @@ import numpy as np
 
 from hrg.dynamics import ManifoldOrbit, find_fixed_point, jacobian_at, psi_fixed_seed
 from hrg.errors import DomainError, HRGError
+from hrg.geometry import distance_exponents, shell_measure
 from hrg.rg import BlockCouplings, BulkVector, DeviationVector, bulk_step
 from hrg.wick import connection_coeff
 
@@ -21,6 +22,143 @@ class ResonanceError(HRGError):
 
 class SelfCheckError(HRGError):
     """Two evaluation routes disagree beyond tolerance."""
+
+
+def gamma_series_value(params, shell):
+    """Gamma from its defining shell series; independent of gamma_value."""
+    p = float(params.p)
+    two_phi = 2.0 * params.phi_dim
+    s = max(shell, 0)
+    total = 0.0
+    for n in range(params.l):
+        inner = 1.0 if s <= n else 0.0
+        outer = 1.0 if s <= n + 1 else 0.0
+        total += p ** (-two_phi * n) * (inner - p**-3 * outer)
+    return total
+
+
+def block_matrix(table):
+    """The dense L^3 x L^3 block matrix of Gamma: [gamma_ball, *gamma_shell]
+    indexed by the distance exponents of each pair of boxes."""
+    values = np.array([table.gamma_ball, *table.gamma_shell])
+    return values[distance_exponents(table.params.p, table.params.l)]
+
+
+def fluct_spectrum(table):
+    """Eigenvalues of the dense block matrix, ascending."""
+    return np.linalg.eigvalsh(block_matrix(table))
+
+
+C_R_SERIES_RTOL = 1e-16  # c_r_series stops once a term falls below this share (absolute below 1)
+PAIRING_SERIES_RTOL = 1e-12  # free_pairing_series stops once a term falls below this share
+U4_SERIES_RTOL = 1e-14  # u4_scale_series stops once a term falls below this share
+
+
+def c_r_series(params, r, shell):
+    """C_r on a shell by summing its defining series
+    sum_{n >= l r} x^n (1[s <= n] - p^-3 1[s <= n+1]), s = max(shell, l r),
+    until the terms fall below C_R_SERIES_RTOL."""
+    p = float(params.p)
+    two_phi = 2.0 * params.phi_dim
+    s = max(shell, params.l * r)
+    total = 0.0
+    n = params.l * r
+    while True:
+        term = p ** (-two_phi * n) * ((1.0 if s <= n else 0.0) - p**-3 * (1.0 if s <= n + 1 else 0.0))
+        total += term
+        n += 1
+        if n > s + 1 and p ** (-two_phi * n) < C_R_SERIES_RTOL * max(abs(total), 1.0):
+            return total
+
+
+def free_pairing_series(params, ball_shell=0):
+    """The ball's free pairing as vol(ball) times its shell sum, taken
+    shell by shell downward until a term falls below PAIRING_SERIES_RTOL
+    of the total (and at least 9 shells)."""
+    p = float(params.p)
+    two_phi = 2.0 * params.phi_dim
+    amp = (1.0 - p**-3) / (1.0 - p**-two_phi) - p ** (two_phi - 3.0)
+    total = 0.0
+    k = ball_shell
+    while True:
+        term = shell_measure(params, k) * amp * p ** (-two_phi * k)
+        total += term
+        k -= 1
+        if abs(term) < PAIRING_SERIES_RTOL * abs(total) and ball_shell - k > 8:
+            return p ** (3 * ball_shell) * total
+
+
+def u4_scale_series(x, s2, s3, s4, g0):
+    """The scale series whose sum times -24 g is u4: the bracket
+    s4 x^2q + 6 q s2 g0^2 x^2q + 12 x^q (sum_{n<q} n x^n) s2 g0^2
+    + 4 x^q (sum_{n<q} x^n) g0 s3 summed over q >= 0 until a bracket falls
+    below U4_SERIES_RTOL of the total."""
+    total = 0.0
+    inner = 0.0  # sum_{n<q} n x^n, updated incrementally
+    q = 0
+    while True:
+        geom = (1.0 - x**q) / (1.0 - x)
+        bracket = (
+            s4 * x ** (2 * q)
+            + 6.0 * q * s2 * g0**2 * x ** (2 * q)
+            + 12.0 * x**q * inner * s2 * g0**2
+            + 4.0 * x**q * geom * g0 * s3
+        )
+        total += bracket
+        inner += q * x**q
+        q += 1
+        if q > 4 and bracket < U4_SERIES_RTOL * total:
+            return total
+
+
+def _terms_below(x, digits):
+    """Number of terms after which x^n, 0 < x < 1, has fallen below 10^-(digits + 10)."""
+    return int(mpmath.ceil((digits + 10) * mpmath.log(10) / -mpmath.log(x))) + 1
+
+
+def mp_c_r(params, r, shells, digits=50):
+    """C_r on each of `shells` from its defining series at `digits` digits:
+    the tails T(k) = sum_{n >= k} x^n, x = p^(-2 phi), summed term by term
+    from above the top shell down, give T(s) - p^-3 T(max(s - 1, l r))."""
+    with mpmath.workdps(digits):
+        p = mpmath.mpf(params.p)
+        x = p ** (-2 * mpmath.mpf(params.phi_dim))
+        low = params.l * r
+        top = max(max(shells), low) + 1
+        tail = {top: mpmath.fsum(x**n for n in range(top, top + _terms_below(x, digits)))}
+        for k in range(top - 1, low - 1, -1):
+            tail[k] = x**k + tail[k + 1]
+        out = []
+        for shell in shells:
+            s = max(shell, low)
+            out.append(tail[s] - p**-3 * tail[max(s - 1, low)])
+        return out
+
+
+def mp_free_pairing(params, ball_shell=0, digits=50):
+    """The ball's free pairing at `digits` digits: vol(ball) times the sum
+    over shells k <= ball_shell of p^3k (1 - p^-3) C_inf(k), term by term."""
+    with mpmath.workdps(digits):
+        p = mpmath.mpf(params.p)
+        two_phi = 2 * mpmath.mpf(params.phi_dim)
+        amp = (1 - p**-3) / (1 - p**-two_phi) - p ** (two_phi - 3)
+        n = _terms_below(p ** (two_phi - 3), digits)
+        shells = range(ball_shell, ball_shell - n, -1)
+        total = mpmath.fsum(p ** (3 * k) * (1 - p**-3) * amp * p ** (-two_phi * k) for k in shells)
+        return p ** (3 * ball_shell) * total
+
+
+def mp_u4_total(x, s2, s3, s4, g0, digits=50):
+    """The u4 scale series of `u4_scale_series` at `digits` digits from the
+    float inputs, with each inner sum taken term by term."""
+    with mpmath.workdps(digits):
+        x, s2, s3, s4, g0 = (mpmath.mpf(v) for v in (x, s2, s3, s4, g0))
+        total = inner = geom = mpmath.mpf(0)
+        for q in range(2 * _terms_below(x, digits)):
+            total += (s4 + 6 * q * s2 * g0**2) * x ** (2 * q) + (12 * inner * s2 * g0**2 + 4 * geom * g0 * s3) * x**q
+            inner += q * x**q
+            geom += x**q
+        return total
 
 
 def newton_fixed_point(fc, params, tol=1e-12, max_iter=100):
@@ -315,7 +453,8 @@ def dense_graph_tensor_quadratic(v_bk, fc, table, params):
 
 def dense_powers(table):
     """Elementwise powers G^m, m = 1..4, of the dense L^3 x L^3 block matrix."""
-    return {m: table.block_matrix**m for m in range(1, 5)}
+    G = block_matrix(table)
+    return {m: G**m for m in range(1, 5)}
 
 
 def dense_counterterms(bc, gpow, table, params):

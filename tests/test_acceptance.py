@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hrg.covariance import covariance_table, gamma_series_value, gamma_value
+from hrg.covariance import covariance_table, gamma_value
 from hrg.errors import DomainError
-from hrg.geometry import make_params
+from hrg.geometry import distance_class_sizes, make_params
 from hrg.mc import sample_hierarchical_field, validate
 from hrg.observables import eta_phi2, full_report, phi2_ir_reduced, phi2_uv_reduced, u_values
 from hrg.rg import BulkVector, cumulant_oracle, flow_coefficients
@@ -25,7 +25,7 @@ from hrg.dynamics import (
     stable_orbit,
     unstable_eigenpair,
 )
-from oracles import delta_b_value, newton_fixed_point, theta_vector
+from oracles import delta_b_value, gamma_series_value, newton_fixed_point, theta_vector
 
 GRID = [
     (p, l, eps)
@@ -53,8 +53,10 @@ def test_criterion_01_covariance_exactness():
     worst_s1, worst_s2, worst_eq = 0.0, 0.0, 0.0
     for p, l, eps in GRID:
         mp = _params(p, l, eps)
-        t = covariance_table(mp, build_matrix=False)
-        worst_s1 = max(worst_s1, abs(t.s_moments[1]))
+        t = covariance_table(mp)
+        assert t.s_moments[1] == 0.0
+        s1 = gamma_value(mp, 0) + sum(gamma_value(mp, i) * n for i, n in enumerate(distance_class_sizes(mp), start=1))
+        worst_s1 = max(worst_s1, abs(s1))
         pf = float(p)
         s2_closed = (1 - pf**-3) * (float(mp.L) ** eps - 1) / (pf**eps - 1)
         worst_s2 = max(worst_s2, abs(t.s_moments[2] - s2_closed) / s2_closed)
@@ -72,7 +74,7 @@ def test_criterion_01_covariance_exactness():
 def test_criterion_02_c0_zero_window():
     lo, hi = 2.0, 1.0
     for p, l, eps in GRID:
-        t = covariance_table(_params(p, l, eps), build_matrix=False)
+        t = covariance_table(_params(p, l, eps))
         lo = min(lo, t.c0_zero)
         hi = max(hi, t.c0_zero)
         assert 1.0 < t.c0_zero < 2.0
@@ -83,7 +85,7 @@ def test_criterion_03_oracle_equivalence():
     worst = 0.0
     for p, l, eps in GRID:
         mp = _params(p, l, eps)
-        t = covariance_table(mp, build_matrix=(mp.n_boxes <= 4096))
+        t = covariance_table(mp)
         fc = flow_coefficients(t, mp)
         oc = cumulant_oracle(t, mp)
         for name in ("a1", "a2", "a3", "a4", "a5"):
@@ -174,7 +176,7 @@ def test_eta_closed_form():
                 params = make_params(p, l, eps, box_budget=200_000)
                 L = float(params.L)
                 closed = -2.0 * np.log((2.0 + L**-eps) / 3.0) / np.log(L)
-                fc = flow_coefficients(covariance_table(params, build_matrix=False), params)
+                fc = flow_coefficients(covariance_table(params), params)
                 eig = unstable_eigenpair(jacobian_at(find_fixed_point(fc, params), fc))
                 etas = [eta_phi2(eig, params)]
                 if abs(fc.lam_g) >= 1.0:

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -33,6 +32,13 @@ def test_coeffs_csv_contains_a5_row():
     assert rc == 0
     assert "A5,7.0\n" in out
     assert out.startswith("quantity,value\n")
+
+
+def test_coeffs_prints_s1_zero_at_large_volume():
+    # Gamma integrates to zero; a plain class sum read -4.3e-8 here
+    rc, out, _ = run(["coeffs", "--p", "101", "--l", "4", "--eps", "0.01"])
+    assert rc == 0
+    assert "\nS1,0.0\n" in out
 
 
 def test_coeffs_json_format():
@@ -124,15 +130,13 @@ def test_sweep_reports_row_errors():
     assert "EpsRangeError" in bad[-1]
 
 
-def test_sweep_threads_consistent(tmp_path):
-    rc1, out1, _ = run(["sweep", "--p", "2", "--l", "1", "--eps-list", "0.1,0.05"])
-    os.environ["HRG_THREADS"] = "2"
-    try:
-        rc2, out2, _ = run(["sweep", "--p", "2", "--l", "1", "--eps-list", "0.1,0.05"])
-    finally:
-        del os.environ["HRG_THREADS"]
-    assert rc1 == rc2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("flag", [["--eps", "0.3"], ["--threads", "2"]], ids=["eps", "threads"])
+def test_sweep_refuses_the_options_it_does_not_read(flag):
+    # sweep reads p, l, eps_list and out: an --eps beside --eps-list, or a
+    # thread count, is a bad command line, not an option it ignores
+    rc, out, err = run(["sweep", "--p", "2", "--l", "1"] + flag + ["--eps-list", "0.1"])
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "IoError", "message": f"unrecognized option {flag[0]}"}
 
 
 def test_config_file_and_flag_precedence(tmp_path):

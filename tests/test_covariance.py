@@ -1,16 +1,29 @@
+import itertools
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from hrg.covariance import (
-    c_infinity_value,
-    c_r_value,
-    covariance_table,
-    free_pairing_c_inf,
+from hrg.covariance import c_infinity_value, c_r_value, covariance_table, free_pairing_c_inf, gamma_value
+from hrg.dynamics import find_fixed_point
+from hrg.geometry import distance_class_sizes, make_params, shell_measure
+from hrg.observables import u_values
+from hrg.rg import flow_coefficients
+from oracles import (
+    C_R_SERIES_RTOL,
+    PAIRING_SERIES_RTOL,
+    U4_SERIES_RTOL,
+    block_matrix,
+    c_r_series,
+    fluct_spectrum,
+    free_pairing_series,
     gamma_series_value,
-    gamma_value,
+    mp_c_r,
+    mp_free_pairing,
+    mp_u4_total,
+    u4_scale_series,
 )
-from hrg.errors import BoxBudgetError
-from hrg.geometry import make_params, shell_measure
 
 GRID = [
     (p, l, eps)
@@ -44,8 +57,11 @@ def test_gamma_evaluators_agree_on_all_shells(p, l, eps):
 @pytest.mark.parametrize("p,l,eps", GRID)
 def test_signed_moments(p, l, eps):
     mp = _params(p, l, eps)
-    t = covariance_table(mp, build_matrix=False)
-    assert abs(t.s_moments[1]) <= 1e-12
+    t = covariance_table(mp)
+    # Gamma integrates to zero: the table holds S_1 = 0, and the class sum agrees
+    assert t.s_moments[1] == 0.0
+    s1 = gamma_value(mp, 0) + sum(gamma_value(mp, i) * n for i, n in enumerate(distance_class_sizes(mp), start=1))
+    assert abs(s1) <= 1e-12
     pf = float(p)
     s2_closed = (1 - pf**-3) * (float(mp.L) ** eps - 1) / (pf**eps - 1)
     assert t.s_moments[2] == pytest.approx(s2_closed, rel=1e-12)
@@ -61,7 +77,7 @@ def test_moment_values_p2_l1():
 @pytest.mark.parametrize("p,l,eps", GRID)
 def test_c0_zero_bounds(p, l, eps):
     mp = _params(p, l, eps)
-    t = covariance_table(mp, build_matrix=False)
+    t = covariance_table(mp)
     assert 1.0 < t.c0_zero < 2.0
 
 
@@ -97,18 +113,18 @@ def test_l1_bound():
 def test_block_matrix_row_sums_and_spectrum():
     for (p, l, eps) in [(2, 1, 0.1), (3, 1, 0.5), (2, 2, 0.1)]:
         mp = make_params(p, l, eps)
-        t = covariance_table(mp, build_matrix=True)
-        rows = t.block_matrix.sum(axis=1)
+        t = covariance_table(mp)
+        rows = block_matrix(t).sum(axis=1)
         assert np.max(np.abs(rows)) <= 1e-12
-        assert t.fluct_spectrum.min() >= -1e-10
+        assert fluct_spectrum(t).min() >= -1e-10
 
 
 def test_fluct_spectrum_single_level_analytic():
     mp = make_params(2, 1, 0.1)
-    t = covariance_table(mp, build_matrix=True)
+    t = covariance_table(mp)
     gap = t.gamma_ball - t.gamma_shell[0]
     assert gap == pytest.approx(1.0, abs=1e-14)
-    eigs = np.sort(t.fluct_spectrum)
+    eigs = np.sort(fluct_spectrum(t))
     assert eigs[0] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(eigs[1:], gap, atol=1e-12)
 
@@ -164,21 +180,56 @@ def test_free_pairing_doubling_relation():
     assert inner == pytest.approx(factor * outer, rel=1e-12)
 
 
-def test_table_immutable_matrix():
-    t = covariance_table(make_params(2, 1, 0.1), build_matrix=True)
-    with pytest.raises(ValueError):
-        t.block_matrix[0, 0] = 5.0
+# the closed forms are checked at p in {2, 3, 5, 7, 11, 101}, l = 1..4, these
+# eps, cut-off indices r = -2..1, shells -2..3l+1 and balls of radius
+# p^-2..p^1; at (11, 3, 0.1) shell 10, r = 0, the summed series, which stops
+# on an absolute 1e-16, is off by 9.8e-4 relative
+CLOSED_FORM_EPS = (1e-3, 0.01, 0.1, 0.5, 1.0)
 
 
-def test_large_l_skips_matrix():
-    mp = make_params(5, 2, 0.1, box_budget=20000)
-    t = covariance_table(mp)
-    assert t.block_matrix is None and t.fluct_spectrum is None
-    assert abs(t.s_moments[1]) <= 1e-12
-    with pytest.raises(BoxBudgetError):
-        covariance_table(mp, build_matrix=True)
+def _ulps(got, want):
+    return float(abs(mpmath.mpf(got) - want)) / math.ulp(float(want))
 
 
-def test_gamma_zero_field_aliases_ball_value():
-    t = covariance_table(make_params(3, 2, 0.3))
-    assert t.gamma_zero == t.gamma_ball
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
+def test_closed_forms_within_4_ulp_of_50_digit_series(p):
+    for l, eps in itertools.product((1, 2, 3, 4), CLOSED_FORM_EPS):
+        params = make_params(p, l, eps, box_budget=None)
+        shells = list(range(-2, 3 * l + 2))
+        for r in (-2, -1, 0, 1):
+            for shell, want in zip(shells, mp_c_r(params, r, shells)):
+                assert _ulps(c_r_value(params, r, shell), want) <= 4.0, (l, eps, r, shell)
+        for ball in (-2, -1, 0, 1):
+            assert _ulps(free_pairing_c_inf(params, ball), mp_free_pairing(params, ball)) <= 4.0, (l, eps, ball)
+        table = covariance_table(params)
+        fc = flow_coefficients(table, params)
+        v_star = find_fixed_point(fc, params)
+        x = float(params.L) ** (-2.0 * params.phi_dim)
+        total = mp_u4_total(x, table.s_moments[2], table.s_moments[3], table.s_moments[4], table.gamma_ball)
+        want = -24 * mpmath.mpf(fc.gbar + v_star.delta_g) * total
+        assert _ulps(u_values(params, table, fc, v_star)[1], want) <= 4.0, (l, eps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
+def test_closed_forms_match_the_summed_series_within_their_stop_rules(p):
+    # each series stops on a tolerance; its truncated tail is bounded by the
+    # stop rule, and its rounding by 8 ulp of the value
+    for l, eps in itertools.product((1, 2, 3, 4), CLOSED_FORM_EPS):
+        params = make_params(p, l, eps, box_budget=None)
+        x = float(p) ** (-2.0 * params.phi_dim)
+        for r in (-2, -1, 0, 1):
+            for shell in range(-2, 3 * l + 2):
+                c = c_r_value(params, r, shell)
+                tail = C_R_SERIES_RTOL * max(abs(c), 1.0) / (1.0 - x)
+                assert abs(c_r_series(params, r, shell) - c) <= tail + 8 * math.ulp(c), (l, eps, r, shell)
+        b = float(p) ** (3.0 - 2.0 * params.phi_dim)
+        for ball in (-2, -1, 0, 1):
+            c = free_pairing_c_inf(params, ball)
+            assert abs(free_pairing_series(params, ball) - c) <= PAIRING_SERIES_RTOL * c / (b - 1.0) + 8 * math.ulp(c)
+        table = covariance_table(params)
+        fc = flow_coefficients(table, params)
+        v_star = find_fixed_point(fc, params)
+        x_l = float(params.L) ** (-2.0 * params.phi_dim)
+        total = u4_scale_series(x_l, table.s_moments[2], table.s_moments[3], table.s_moments[4], table.gamma_ball)
+        u4 = u_values(params, table, fc, v_star)[1]
+        assert abs(-24.0 * (fc.gbar + v_star.delta_g) * total - u4) <= U4_SERIES_RTOL * abs(u4), (l, eps)

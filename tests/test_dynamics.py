@@ -73,7 +73,7 @@ def test_closed_forms_across_parameter_space(p, l, eps, g_rel):
     # for the fixed point, LAPACK for the eigenpair, the exact eigenvalue in
     # L and eps, and bisection on the escape side for the critical mass
     params = make_params(p, l, eps, box_budget=10**12)
-    fc = flow_coefficients(covariance_table(params, build_matrix=False), params)
+    fc = flow_coefficients(covariance_table(params), params)
     v_star = find_fixed_point(fc, params)
     newton = newton_fixed_point(fc, params)
     assert v_star.delta_g == 0.0 and abs(newton.delta_g) <= 1e-14 * abs(newton.mu)

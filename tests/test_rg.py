@@ -26,6 +26,7 @@ from hrg.rg import (
 )
 from hrg.wick import connection_coeff
 from oracles import (
+    block_matrix,
     dense_block_outputs,
     dense_counterterms,
     dense_deviation_quadratic,
@@ -37,7 +38,7 @@ from oracles import (
 @pytest.fixture(scope="module")
 def m21():
     params = make_params(2, 1, 0.1)
-    table = covariance_table(params, build_matrix=True)
+    table = covariance_table(params)
     fc = flow_coefficients(table, params)
     return params, table, fc
 
@@ -87,7 +88,7 @@ def test_bulk_step_guards(m21):
 
 def _brute_counterterms(bc, table, params):
     n = params.n_boxes
-    G = table.block_matrix
+    G = block_matrix(table)
     L = float(params.L)
     phi = params.phi_dim
     c0 = table.c0_zero
@@ -183,7 +184,7 @@ def _random_block(params, rng, scale=0.5):
 @pytest.mark.parametrize("p,seed", [(2, 5), (2, 6), (3, 5)])
 def test_counterterms_match_brute_force(p, seed):
     params = make_params(p, 1, 0.17)
-    table = covariance_table(params, build_matrix=True)
+    table = covariance_table(params)
     rng = np.random.default_rng(seed)
     bc = _random_block(params, rng)
     got = second_order_counterterms(bc, table, params)
@@ -202,7 +203,7 @@ def test_leg_factorization_is_exact_tuple_sum(m21):
     rng = np.random.default_rng(9)
     bc = _random_block(params, rng)
     n = params.n_boxes
-    G = table.block_matrix
+    G = block_matrix(table)
     literal = 0.0
     for x in range(n):
         for y1 in range(n):
@@ -353,7 +354,7 @@ def test_deviation_quadratic_reproduces_dense_step(point):
     from hrg.dynamics import find_fixed_point
 
     params = make_params(*point)
-    table = covariance_table(params, build_matrix=True)
+    table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     dq = deviation_quadratic(v_star, fc, table, params)
@@ -434,7 +435,7 @@ def test_deviation_quadratic_matches_dense_polarization(p, l):
 
     for eps in (0.05, 0.5):
         params = make_params(p, l, eps)
-        table = covariance_table(params, build_matrix=True)
+        table = covariance_table(params)
         fc = flow_coefficients(table, params)
         v_star = find_fixed_point(fc, params)
         for v in (v_star, BulkVector(0.3 * fc.gbar, -2.0 * v_star.mu)):
@@ -449,7 +450,7 @@ def test_block_step_matches_dense_counterterms(p, l):
     # at random per-box couplings with f, w5 and w6 nonzero so the G f and
     # W legs all contribute
     params = make_params(p, l, 0.17)
-    table = covariance_table(params, build_matrix=True)
+    table = covariance_table(params)
     bc = _random_block(params, np.random.default_rng(11))
     gpow = dense_powers(table)
     d1, d2, w5, w6, f = second_order_counterterms(bc, table, params)
@@ -491,7 +492,7 @@ def _uv_recursion_oracle(params, table, g_star, mu_star, z, q_max):
     L = float(params.L)
     phi = params.phi_dim
     n = params.n_boxes
-    G = table.block_matrix
+    G = block_matrix(table)
     from math import comb
 
     def F(k, l, beta_vec, f_vec):
