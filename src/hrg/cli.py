@@ -8,7 +8,8 @@ starts with ``-`` only as a number (``--r -2``); ``-h``/``--help`` prints
 usage at either level.  Every option can also come from the config file: it
 takes its flag, else the config value of ``COMMAND.key``, else that of
 ``key`` (the option name with ``_`` for ``-``), else its default, through
-one cast and choices check.
+one cast and choices check.  A ``COMMAND.key`` naming no option of COMMAND
+is refused like the flag; flat keys and other commands' keys are shared.
 
 Exit codes: 0 success, 2 domain errors and bad arguments or config values
 (machine-readable JSON on stderr), 1 internal faults.  Outputs are
@@ -436,6 +437,10 @@ def _scan(argv, i: int, flags: dict):
 def _resolve(name: str, command: Command, given: dict, cfg: dict) -> dict:
     """Each option's value: the flag, else the `name.key` config value, else
     the flat `key` one, else the default, all cast and checked alike."""
+    for dotted in cfg:
+        scope, _, key = dotted.partition(".")
+        if scope == name and key not in command.options:
+            raise IoError(f"config key {dotted} is not an option of {name}")
     values = {}
     for key, opt in command.options.items():
         text = given[key] if key in given else cfg.get(f"{name}.{key}", cfg.get(key, opt.default))

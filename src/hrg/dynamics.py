@@ -100,9 +100,6 @@ def find_fixed_point(fc: FlowCoefficients, params: ModelParams) -> BulkVector:
 
 def jacobian_at(v: BulkVector, fc: FlowCoefficients) -> np.ndarray:
     """Analytic 2x2 Jacobian of the bulk step at v."""
-    from .rg import _require_zero_remainder
-
-    _require_zero_remainder(v)
     g = fc.gbar + v.delta_g
     return np.array(
         [

@@ -29,10 +29,6 @@ class WickConstantMismatchError(HRGError):
     """Binary operation on Wick polynomials with different constants."""
 
 
-class RemainderError(HRGError):
-    """Operation received a remainder coordinate other than ZERO."""
-
-
 class BlowUpError(HRGError):
     """Couplings left the configured guard region during iteration."""
 

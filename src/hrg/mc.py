@@ -1,12 +1,13 @@
 """Monte Carlo validation of the covariance layer.
 
-Samples the hierarchical Gaussian field on the rescaled lattice (unit
-boxes filling the ball of radius p^(s-r)) and compares empirical box
-covariances and the free pairing against the exact shell sums.  Streams
-are counter-based: batch b of BATCH_SIZE samples draws from the Philox
-stream keyed by (seed, b), so identical inputs give bit-identical output.
-The batch size is fixed because the fields depend on it: the same seed cut
-into other batch sizes draws other fields.
+Samples the Gaussian field on the rescaled lattice (unit boxes filling the
+ball of radius p^(s-r)), hierarchically or by a Cholesky factor, and checks
+its covariance per ultrametric distance class, on which it is constant, and
+its free pairing against the exact shell sums.  Streams are counter-based:
+batch b of BATCH_SIZE samples draws from the Philox stream keyed by
+(seed, b), so identical inputs give bit-identical output.  The batch size
+is fixed because the fields depend on it: the same seed cut into other
+batch sizes draws other fields.
 
 `validate` draws and sums the batches concurrently, on a pool of threads
 as large as the usable cores (and no larger than the batch count).  Each
@@ -28,9 +29,7 @@ from .errors import NotPSDError, SampleCountError, VolumeError
 from .geometry import ModelParams, distance_exponents
 
 DEFAULT_VOLUME_BUDGET = 4096
-MATRIX_BOXES = 1024  # validate forms the full empirical matrix up to this box count
 BATCH_SIZE = 4096
-MATERIALIZE_CAP = 1 << 24  # samples times boxes
 CHUNK_VALUES = 1 << 16  # a batch is finished and summed this many values (512 KiB) at a time
 
 
@@ -77,18 +76,11 @@ class FieldEnsemble:
             return _hierarchical_batch(self.params, self.levels, b, rng)
         if self.method == "cholesky":
             return _cholesky_batch(self.cholesky_factor, b, rng)
-        if self.method == "zero":
-            return np.zeros((b, self.n_boxes))
         raise ValueError(f"unknown sampling method {self.method!r}")
 
     def batches(self):
         for idx in range(self.n_batches):
             yield self.batch(idx)
-
-    def materialize(self) -> np.ndarray:
-        if self.n_samples * self.n_boxes > MATERIALIZE_CAP:
-            raise VolumeError("ensemble too large to materialize; iterate batches instead")
-        return np.concatenate(list(self.batches()), axis=0)
 
 
 def sample_hierarchical_field(
@@ -98,17 +90,16 @@ def sample_hierarchical_field(
     n_samples: int,
     seed: int,
     method: str = "hierarchical",
-    volume_budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> FieldEnsemble:
     """Configure a sampler for the field with UV cut-off index r on the
     volume of index s (r <= 0 <= s), in rescaled units."""
     if not (r <= 0 <= s):
         raise VolumeError(f"need r <= 0 <= s, got r={r}, s={s}")
-    if params.p ** (3 * (s - r)) > volume_budget:
-        raise VolumeError(f"p^(3(s-r)) = {params.p**(3*(s-r))} exceeds budget {volume_budget}")
+    if params.p ** (3 * (s - r)) > DEFAULT_VOLUME_BUDGET:
+        raise VolumeError(f"p^(3(s-r)) = {params.p**(3*(s-r))} exceeds budget {DEFAULT_VOLUME_BUDGET}")
     if n_samples < 1:
         raise SampleCountError("need at least one sample")
-    if method not in ("hierarchical", "cholesky", "zero"):
+    if method not in ("hierarchical", "cholesky"):
         raise ValueError(f"unknown sampling method {method!r}")
     return FieldEnsemble(params=params, r=r, s=s, n_samples=n_samples, seed=int(seed), method=method)
 
@@ -186,7 +177,6 @@ def _cholesky_factor(params: ModelParams, levels: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmpiricalCovariance:
-    matrix: np.ndarray | None
     class_means: np.ndarray
     class_exact: np.ndarray
     class_se: np.ndarray
@@ -211,10 +201,9 @@ def _class_aggregates(x: np.ndarray, p: int, levels: int, out: np.ndarray) -> No
         sq_prev = sq
 
 
-def _batch_partials(ens: FieldEnsemble, idx: int, n_sub: int, weight: float, want_matrix: bool) -> tuple:
+def _batch_partials(ens: FieldEnsemble, idx: int, n_sub: int, weight: float) -> tuple:
     """Sums over batch idx that validate adds up in batch order: the class
-    aggregates and their squares, the pairing terms and their squares, and
-    with want_matrix x.T @ x and the column sums."""
+    aggregates and their squares, and the pairing terms and their squares."""
     x = ens.batch(idx)
     b, n = x.shape
     agg = np.empty((b, ens.levels + 1))
@@ -224,10 +213,7 @@ def _batch_partials(ens: FieldEnsemble, idx: int, n_sub: int, weight: float, wan
         _class_aggregates(rows, ens.params.p, ens.levels, agg[chunk])
         box_sums[chunk] = rows[:, :n_sub].sum(axis=1)
     t = (weight * box_sums) ** 2
-    partials = (agg.sum(axis=0), (agg**2).sum(axis=0), t.sum(), (t**2).sum())
-    if want_matrix:
-        partials += (x.T @ x, x.sum(axis=0))
-    return partials
+    return agg.sum(axis=0), (agg**2).sum(axis=0), t.sum(), (t**2).sum()
 
 
 def _usable_cores() -> int:
@@ -241,10 +227,9 @@ def validate(ens: FieldEnsemble) -> tuple:
 
     Class statistics pool every ordered box pair at the same tree distance,
     which is the resolution at which the exact covariance actually varies;
-    the max z-score is taken over these pooled classes.  The full empirical
-    matrix is also formed when the box count is small enough to afford it.
-    The pairing estimate is the squared weighted sum over the unit box,
-    which in rescaled units is the leading p^(-3r) sub-ball of the lattice.
+    the max z-score is taken over these pooled classes.  The pairing
+    estimate is the squared weighted sum over the unit box, which in
+    rescaled units is the leading p^(-3r) sub-ball of the lattice.
     Batches are drawn and summed on a thread pool and their partial sums
     added in batch order, so any worker count gives the same bits.
     """
@@ -257,9 +242,6 @@ def validate(ens: FieldEnsemble) -> tuple:
 
     agg = np.zeros(levels + 1)
     agg2 = np.zeros(levels + 1)
-    want_matrix = n_boxes <= MATRIX_BOXES
-    xtx = np.zeros((n_boxes, n_boxes)) if want_matrix else None
-    xsum = np.zeros(n_boxes) if want_matrix else None
     n_sub = int(float(p) ** (-3 * ens.r))
     weight = float(p) ** ((3 - ens.params.phi_dim) * ens.r)
     pair_sum = 0.0
@@ -269,17 +251,14 @@ def validate(ens: FieldEnsemble) -> tuple:
     from concurrent.futures import ThreadPoolExecutor  # here, so other commands skip its import cost
 
     def partials(idx):
-        return _batch_partials(ens, idx, n_sub, weight, want_matrix)
+        return _batch_partials(ens, idx, n_sub, weight)
 
     # map yields in batch order, drops each result once read, and cancels
     # the batches not yet started when one raises
     with ThreadPoolExecutor(max_workers=min(_usable_cores(), ens.n_batches)) as pool:
-        for a_sum, a_sq, t_sum, t_sq, *matrix_parts in pool.map(partials, range(ens.n_batches)):
+        for a_sum, a_sq, t_sum, t_sq in pool.map(partials, range(ens.n_batches)):
             agg += a_sum
             agg2 += a_sq
-            if want_matrix:
-                xtx += matrix_parts[0]
-                xsum += matrix_parts[1]
             pair_sum += t_sum
             pair_sum2 += t_sq
 
@@ -295,12 +274,7 @@ def validate(ens: FieldEnsemble) -> tuple:
     diffs = class_means - class_exact
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(class_se > 0, np.abs(diffs) / class_se, np.where(diffs == 0.0, 0.0, np.inf))
-    matrix = None
-    if want_matrix:
-        mean_vec = xsum / n
-        matrix = (xtx - n * np.outer(mean_vec, mean_vec)) / (n - 1)
     emp = EmpiricalCovariance(
-        matrix=matrix,
         class_means=class_means,
         class_exact=class_exact,
         class_se=class_se,

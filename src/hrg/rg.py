@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     NonPositiveInputError,
     QuadratureBudgetError,
-    RemainderError,
 )
 from .geometry import ModelParams
 from .wick import WickPoly, connection_coeff, evaluate, scale_argument, wick_product
@@ -50,11 +49,10 @@ class FlowCoefficients:
 
 @dataclass(frozen=True)
 class BulkVector:
-    """A point (delta_g, mu) of the bulk phase space; remainder pinned to ZERO."""
+    """A point (delta_g, mu) of the bulk phase space; the remainder is zero."""
 
     delta_g: float
     mu: float
-    r_rep: str = "ZERO"
 
 
 @dataclass(frozen=True)
@@ -81,11 +79,6 @@ class DeviationVector:
                 self.f_dot,
             ]
         )
-
-
-def _require_zero_remainder(v: BulkVector):
-    if v.r_rep != "ZERO":
-        raise RemainderError(f"remainder representation {v.r_rep!r} not supported")
 
 
 def flow_coefficients(table: CovarianceTable, params: ModelParams) -> FlowCoefficients:
@@ -117,7 +110,6 @@ def flow_coefficients(table: CovarianceTable, params: ModelParams) -> FlowCoeffi
 
 def bulk_step(v: BulkVector, fc: FlowCoefficients, params: ModelParams):
     """One bulk RG step; returns the new vector and the vacuum term delta_b."""
-    _require_zero_remainder(v)
     if not (abs(v.delta_g) <= BLOWUP_GUARD and abs(v.mu) <= BLOWUP_GUARD):  # NaN fails too
         raise BlowUpError(f"couplings {v.delta_g}, {v.mu} outside guard {BLOWUP_GUARD}")
     g = fc.gbar + v.delta_g
@@ -347,7 +339,6 @@ def block_step(bc: BlockCouplings, table: CovarianceTable, params: ModelParams) 
 
 def _deviated_and_bulk(v_bk: BulkVector, vd: DeviationVector, fc, table, params):
     """Block outputs of (bulk + point deviation) and of the bulk alone."""
-    _require_zero_remainder(v_bk)
     hom = BlockCouplings.homogeneous(params, fc.gbar + v_bk.delta_g, v_bk.mu)
     return block_step(hom.with_deviation(vd), table, params), block_step(hom, table, params)
 
@@ -420,7 +411,6 @@ def deviation_quadratic(
     Gamma integrates to zero, so the table's S_1 is 0 exactly; with the odd
     slots of h at 0, M is exactly lower triangular.
     """
-    _require_zero_remainder(v_bk)
     L, phi = float(params.L), params.phi_dim
     u, m, coef, lpow, cpow, quad_at, lin_at = _DEVIATION_GRAPHS
     w = coef * L ** (-phi * lpow) * table.c0_zero ** cpow

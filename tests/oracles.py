@@ -591,10 +591,8 @@ def reference_batches(ens):
         rng = np.random.Generator(np.random.Philox(key=(int(ens.seed) << 32) + idx))
         if ens.method == "hierarchical":
             yield reference_hierarchical_batch(ens.params, ens.levels, b, rng)
-        elif ens.method == "cholesky":
-            yield rng.standard_normal((b, ens.n_boxes)) @ chol.T
         else:
-            yield np.zeros((b, ens.n_boxes))
+            yield rng.standard_normal((b, ens.n_boxes)) @ chol.T
         done += b
         idx += 1
 
@@ -618,7 +616,7 @@ def reference_class_aggregates(x, p, levels):
 def reference_validate(ens):
     """`hrg.mc.validate` as one serial loop over `reference_batches`."""
     from hrg.covariance import c_r_value
-    from hrg.mc import MATRIX_BOXES, EmpiricalCovariance, PairingEstimate, exact_pairing
+    from hrg.mc import EmpiricalCovariance, PairingEstimate, exact_pairing
 
     p = ens.params.p
     levels = ens.levels
@@ -627,9 +625,6 @@ def reference_validate(ens):
 
     agg = np.zeros(levels + 1)
     agg2 = np.zeros(levels + 1)
-    want_matrix = n_boxes <= MATRIX_BOXES
-    xtx = np.zeros((n_boxes, n_boxes)) if want_matrix else None
-    xsum = np.zeros(n_boxes) if want_matrix else None
     n_sub = int(float(p) ** (-3 * ens.r))
     weight = float(p) ** ((3 - ens.params.phi_dim) * ens.r)
     pair_sum = 0.0
@@ -638,9 +633,6 @@ def reference_validate(ens):
         a = reference_class_aggregates(batch, p, levels)
         agg += a.sum(axis=0)
         agg2 += (a**2).sum(axis=0)
-        if want_matrix:
-            xtx += batch.T @ batch
-            xsum += batch.sum(axis=0)
         t = (weight * batch[:, :n_sub].sum(axis=1)) ** 2
         pair_sum += t.sum()
         pair_sum2 += (t**2).sum()
@@ -657,12 +649,7 @@ def reference_validate(ens):
     diffs = class_means - class_exact
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(class_se > 0, np.abs(diffs) / class_se, np.where(diffs == 0.0, 0.0, np.inf))
-    matrix = None
-    if want_matrix:
-        mean_vec = xsum / n
-        matrix = (xtx - n * np.outer(mean_vec, mean_vec)) / (n - 1)
     emp = EmpiricalCovariance(
-        matrix=matrix,
         class_means=class_means,
         class_exact=class_exact,
         class_se=class_se,

@@ -139,6 +139,26 @@ def test_sweep_refuses_the_options_it_does_not_read(flag):
     assert json.loads(err) == {"error": "IoError", "message": f"unrecognized option {flag[0]}"}
 
 
+@pytest.mark.parametrize("entry", ["sweep.eps = 0.3", "sweep.threads = 2"], ids=["eps", "threads"])
+def test_sweep_refuses_config_keys_scoped_to_it_that_it_does_not_read(tmp_path, entry):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    rc, out, err = run(["--config", str(cfg), "sweep", "--eps-list", "0.1"])
+    assert rc == 2 and out == ""
+    key = entry.split(" ")[0]
+    assert json.loads(err) == {"error": "IoError", "message": f"config key {key} is not an option of sweep"}
+
+
+def test_config_keys_of_other_commands_and_flat_keys_are_shared(tmp_path):
+    # eps and threads mean nothing to sweep, but a flat key or one scoped to
+    # another command may serve the other commands that read the same file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.3\nthreads = 2\nmc.threads = 2\ncoeffs.eps_list = 0.2\n")
+    rc, out, err = run(["--config", str(cfg), "sweep", "--eps-list", "0.1"])
+    assert rc == 0 and err == ""
+    assert out.splitlines()[1].startswith("0.1,")
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 2\nl = 1\neps = 0.5\n# comment\ncoeffs.eps = 0.1\n")
@@ -269,6 +289,50 @@ def test_dump_report_matches_17_digit_round_trip(payload):
 def test_dump_report_matches_17_digit_round_trip_on_drawn_floats(xs):
     payload = {"xs": xs, "arr": np.array(xs, dtype=float)}
     assert dump_report(payload) == _dump_through_17_digits(payload)
+
+
+# texts of each option: (in its domain, cast but refused by the command,
+# failing the cast or the choices check); is_prime is trial division, so p
+# stays small
+FUZZ_P = (["2", "3", "5", "7", "03", "+3"], ["0", "1", "-2", "4"], ["1e1", "2.0", "nan", "abc", ""])
+FUZZ_L = (["1", "2", "3"], ["0", "-1"], ["1.5", "nan", ""])
+FUZZ_EPS = (["0.1", "1e-3", ".5", "1.", "1"], ["-0.5", "0", "2E+1", "nan", "inf", "-inf"], ["abc", "", "1,5"])
+FUZZ_COUPLING = (["0", "0.01", "-.5E-2", "1e-3"], ["1e308", "-inf", "nan"], ["abc", ""])
+FUZZ_OPTIONS = {
+    "coeffs": {"p": FUZZ_P, "l": FUZZ_L, "eps": FUZZ_EPS, "format": (["csv", "json"], [], ["xml", "CSV", ""])},
+    "fixed-point": {"p": FUZZ_P, "l": FUZZ_L, "eps": FUZZ_EPS},
+    "linearize": {"p": FUZZ_P, "l": FUZZ_L, "eps": FUZZ_EPS},
+    "flow": {"p": FUZZ_P, "l": FUZZ_L, "eps": FUZZ_EPS, "g": FUZZ_COUPLING, "mu": FUZZ_COUPLING,
+             "steps": (["0", "1", "5", "30"], [], ["-3", "1e1", "2.5", "nan", ""])},
+}
+FUZZ_UNKNOWN = ["bogus", "threads", "eps-list", "samples", "format", "config", "z"]
+
+
+@st.composite
+def _cli_argv(draw):
+    """A cheap command with up to five options, most of them known and in
+    their domain: named in full or by a prefix (unique or not), as
+    `--opt VALUE` or `--opt=VALUE`, any of them repeated."""
+    name = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    options = FUZZ_OPTIONS[name]
+    argv = [name]
+    for _ in range(draw(st.integers(0, 5))):
+        known = draw(st.integers(0, 7)) > 0
+        key = draw(st.sampled_from(sorted(options) if known else FUZZ_UNKNOWN))
+        valid, refused, malformed = options.get(key, FUZZ_EPS)
+        value = draw(st.sampled_from(draw(st.sampled_from((valid, valid, valid, valid, refused or malformed, malformed)))))
+        flag = "--" + (key if draw(st.booleans()) else key[: draw(st.integers(1, len(key)))])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=400)
+@given(_cli_argv())
+def test_cli_exits_0_or_2_with_json_on_drawn_command_lines(argv):
+    rc, _, err = run(argv)
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert isinstance(json.loads(err), dict)
 
 
 def test_read_config_missing_file():

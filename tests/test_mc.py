@@ -1,5 +1,6 @@
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,12 +18,23 @@ from hrg.mc import (
     sample_hierarchical_field,
     validate,
 )
-from oracles import reference_batches, reference_validate
+import oracles
+from oracles import reference_validate
 
 
 @pytest.fixture(scope="module")
 def p21():
     return make_params(2, 1, 0.1)
+
+
+def _zero_batch(ens, idx):
+    """Batch idx of an all-zero field, whose every class mean is exactly 0."""
+    return np.zeros((min(BATCH_SIZE, ens.n_samples - idx * BATCH_SIZE), ens.n_boxes))
+
+
+def _empirical_matrix(ens):
+    """Sample covariance of the boxes over the ensemble's reference batches."""
+    return np.cov(np.concatenate(list(oracles.reference_batches(ens))), rowvar=False)
 
 
 def test_volume_and_sample_guards(p21):
@@ -48,7 +60,7 @@ def test_single_box_variance(p21):
 
 def test_box_means_centered(p21):
     ens = sample_hierarchical_field(p21, -1, 0, 50_000, 5)
-    x = ens.materialize()
+    x = np.concatenate(list(oracles.reference_batches(ens)))
     se = np.sqrt(c_r_value(p21, 0, 0) / ens.n_samples)
     assert np.max(np.abs(x.mean(axis=0))) <= 4 * se
 
@@ -59,23 +71,24 @@ def test_adjacent_box_covariance(p21):
     assert emp.class_exact[1] == pytest.approx(c_r_value(p21, 0, 1), rel=1e-14)
     assert abs(emp.class_means[1] - emp.class_exact[1]) <= 3 * emp.class_se[1]
     # off-diagonal matrix entries agree with the pooled class mean
-    off = emp.matrix[~np.eye(ens.n_boxes, dtype=bool)]
+    off = _empirical_matrix(ens)[~np.eye(ens.n_boxes, dtype=bool)]
     assert off.mean() == pytest.approx(emp.class_means[1], abs=5e-3)
 
 
 def test_empirical_matrix_matches_exact(p21):
     ens = sample_hierarchical_field(p21, -1, 1, 60_000, 11)
     emp, _ = validate(ens)
+    matrix = _empirical_matrix(ens)
     exact = _exact_box_covariance(p21, ens.levels)
-    assert emp.matrix.shape == exact.shape
-    assert np.max(np.abs(emp.matrix - exact)) < 0.1
+    assert matrix.shape == exact.shape
+    assert np.max(np.abs(matrix - exact)) < 0.1
     assert emp.max_z_score <= 5.0
 
 
-def test_zero_field_synthetic(p21):
-    ens = sample_hierarchical_field(p21, -1, 0, 2000, 0, method="zero")
+def test_zero_field_synthetic(p21, monkeypatch):
+    ens = sample_hierarchical_field(p21, -1, 0, 2000, 0)
+    monkeypatch.setattr(FieldEnsemble, "batch", _zero_batch)
     emp, _ = validate(ens)
-    assert np.all(emp.matrix == 0.0)
     assert np.all(emp.class_means == 0.0)
     assert np.isinf(emp.max_z_score)  # zero spread against a nonzero target
 
@@ -91,7 +104,7 @@ def test_determinism_and_seed_sensitivity(p21):
     e1, _ = validate(sample_hierarchical_field(p21, -1, 0, 20_000, 17))
     e2, _ = validate(sample_hierarchical_field(p21, -1, 0, 20_000, 17))
     assert np.array_equal(e1.class_means, e2.class_means)
-    assert np.array_equal(e1.matrix, e2.matrix)
+    assert np.array_equal(e1.class_se, e2.class_se)
     e3, _ = validate(sample_hierarchical_field(p21, -1, 0, 20_000, 18))
     assert not np.array_equal(e1.class_means, e3.class_means)
     comb = np.sqrt(e1.class_se**2 + e3.class_se**2)
@@ -178,12 +191,6 @@ def test_cholesky_rejects_indefinite(p21):
             mcmod._exact_box_covariance = orig
 
 
-def test_materialize_cap(p21):
-    ens = sample_hierarchical_field(p21, -2, 2, 200_000, 0)
-    with pytest.raises(VolumeError):
-        ens.materialize()
-
-
 # every level count within the 4096-box volume budget
 VOLUMES = [(2, levels) for levels in range(5)] + [(3, levels) for levels in range(3)]
 # one batch; two with a short last one of 65 rows; three
@@ -195,10 +202,7 @@ def _assert_same(got, want, rtol=0.0):
     rtol > 0 within rtol relative (max_z_score within rtol absolute)."""
     emp, pairing = got
     ref_emp, ref_pairing = want
-    if ref_emp.matrix is None:
-        assert emp.matrix is None
-    fields = [(emp.matrix, ref_emp.matrix)] if ref_emp.matrix is not None else []
-    fields += [(getattr(emp, name), getattr(ref_emp, name)) for name in ("class_means", "class_exact", "class_se")]
+    fields = [(getattr(emp, name), getattr(ref_emp, name)) for name in ("class_means", "class_exact", "class_se")]
     fields += [(getattr(pairing, name), getattr(ref_pairing, name)) for name in ("mean", "stderr", "exact")]
     for a, b in fields:
         if rtol:
@@ -227,12 +231,17 @@ def _validate_on(ens, workers, monkeypatch):
 @pytest.mark.parametrize("method", ["hierarchical", "cholesky", "zero"])
 @pytest.mark.parametrize("p,levels", VOLUMES)
 def test_validate_matches_serial_reference(p, levels, method, monkeypatch):
-    # Any worker count gives the same bits.  The hierarchical and zero
-    # batches do the serial reference's arithmetic, so they match it bit for
-    # bit.  The Cholesky product runs one row chunk at a time, and BLAS may
-    # block a chunk's product unlike the batch-wide one (at 729 boxes it
-    # moves entries of the empirical matrix by an ulp), so that branch is
-    # held to the reference within 1e-13, a few hundred ulps.
+    # Any worker count gives the same bits.  The hierarchical batches do
+    # the serial reference's arithmetic, so they match it bit for bit.  The
+    # Cholesky product runs one row chunk at a time, and BLAS may block a
+    # chunk's product unlike the batch-wide one (at 729 boxes it moves
+    # entries of a batch by an ulp), so that branch is held to the
+    # reference within 1e-13, a few hundred ulps.  "zero" feeds all-zero
+    # batches to both routes, so every z-score meets zero spread.
+    if method == "zero":
+        monkeypatch.setattr(FieldEnsemble, "batch", _zero_batch)
+        monkeypatch.setattr(oracles, "reference_batches", lambda e: map(partial(_zero_batch, e), range(e.n_batches)))
+        method = "hierarchical"
     params = make_params(p, 1, 0.1)
     r = -((levels + 1) // 2)
     counts = SAMPLE_COUNTS
@@ -247,7 +256,7 @@ def test_validate_matches_serial_reference(p, levels, method, monkeypatch):
         for workers in (2, 5) if ens.n_batches > 1 else ():
             _assert_same(_validate_on(ens, workers, monkeypatch), serial)
     # batches keep their output, the short last batch included
-    for got, ref in zip(ens.batches(), reference_batches(ens), strict=True):
+    for got, ref in zip(ens.batches(), oracles.reference_batches(ens), strict=True):
         if rtol:
             np.testing.assert_allclose(got, ref, rtol=rtol, atol=1e-13)
         else:

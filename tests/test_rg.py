@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hrg.covariance import covariance_table
-from hrg.errors import BlowUpError, RemainderError
+from hrg.errors import BlowUpError
 from hrg.geometry import make_params
 from hrg.rg import (
     BlockCouplings,
@@ -77,8 +77,6 @@ def test_bulk_step_guards(m21):
     params, table, fc = m21
     with pytest.raises(BlowUpError):
         bulk_step(BulkVector(2e6, 0.0), fc, params)
-    with pytest.raises(RemainderError):
-        bulk_step(BulkVector(0.0, 0.0, r_rep="GRID"), fc, params)
 
 
 # ---------------------------------------------------------------------------
