@@ -4,12 +4,13 @@ Grammar: ``hrg [--config FILE] COMMAND [--opt VALUE | --opt=VALUE ...]``.  An
 option is named exactly or by a unique prefix (an exact ``--g`` beats the
 prefix of ``--g-rel``, and another command's full option name is no prefix:
 ``sweep`` refuses ``--eps``); given twice, its last value wins; a value
-starts with ``-`` only as a number (``--r -2``); ``-h``/``--help`` prints
-usage at either level.  Every option can also come from the config file: it
-takes its flag, else the config value of ``COMMAND.key``, else that of
-``key`` (the option name with ``_`` for ``-``), else its default, through
-one cast and choices check.  A ``COMMAND.key`` naming no option of COMMAND
-is refused like the flag; flat keys and other commands' keys are shared.
+starts with ``-`` only as a float (``--r -2``, ``--mu -inf``);
+``-h``/``--help`` prints usage at either level.  Every option can also come
+from the config file: it takes its flag, else the config value of
+``COMMAND.key``, else that of ``key`` (the option name with ``_`` for
+``-``), else its default, through one cast and choices check.  A
+``COMMAND.key`` naming no option of COMMAND is refused like the flag; flat
+keys and other commands' keys are shared.
 
 Exit codes: 0 success, 2 domain errors and bad arguments or config values
 (machine-readable JSON on stderr), 1 internal faults.  Outputs are
@@ -20,7 +21,6 @@ shortest round-trip form (Python's repr) in both JSON and CSV.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -393,7 +393,6 @@ COMMANDS = {
 }
 _TOP_FLAGS = {"--config": "config", "-h": None, "--help": None}
 _EVERY_FLAG = {flag for command in COMMANDS.values() for flag in command.flags}
-_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _usage(name=None) -> str:
@@ -404,6 +403,14 @@ def _usage(name=None) -> str:
     shape = {key: "|".join(opt.choices) or key.upper() for key, opt in command.options.items()}
     flags = " ".join(f"[{flag} {shape[key]}]" for flag, key in command.flags.items() if key)
     return f"usage: hrg {name} [-h] {flags}\n\n{command.summary}; options may also come from the config file\n"
+
+
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
 
 
 def _scan(argv, i: int, flags: dict):
@@ -426,7 +433,7 @@ def _scan(argv, i: int, flags: dict):
             return None, i
         if not eq:
             i += 1
-            if i == len(argv) or argv[i].startswith("-") and not _NEGATIVE_NUMBER.fullmatch(argv[i]):
+            if i == len(argv) or argv[i].startswith("-") and not _is_number(argv[i]):
                 raise IoError(f"{name} expects a value")
             text = argv[i]
         given[key] = text

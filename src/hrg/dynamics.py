@@ -138,11 +138,6 @@ class ManifoldOrbit:
     settle_index: int
 
     @property
-    def points(self) -> tuple:
-        """The stored orbit as bulk vectors."""
-        return tuple(self.point(n) for n in range(self.settle_index + 1))
-
-    @property
     def settled(self) -> bool:
         return self.dg[-1] == 0.0 and self.mu[-1] == self.v_star.mu
 

@@ -77,14 +77,6 @@ class SampleCountError(HRGError):
     """Too few samples for the requested estimator."""
 
 
-class QuadratureBudgetError(HRGError):
-    """Monte Carlo sample budget exceeded."""
-
-
-class NonPositiveInputError(HRGError):
-    """Integrand factor must be strictly positive."""
-
-
 class DomainError(HRGError):
     """Generic precondition violation on an operation domain."""
 

@@ -9,8 +9,9 @@ on ultrametric distance classes, so it telescopes into sums over the
 blocks of each level: the cost grows linearly with the box count and no
 box-by-box matrix is formed.  The deviation flow at f = 0 needs even less:
 its linear and bilinear parts are closed forms in the covariance moments.
-Two independent oracles (a Wick-contraction cumulant expansion and a Monte
-Carlo block integral) validate the explicit coefficients.
+A Wick-contraction cumulant expansion (`cumulant_oracle`) derives the
+explicit coefficients a second way; the tests also check them against the
+exact one-block integral at l = 1.
 """
 
 from __future__ import annotations
@@ -21,14 +22,9 @@ from math import comb, factorial
 import numpy as np
 
 from .covariance import CovarianceTable
-from .errors import (
-    BlowUpError,
-    DomainError,
-    NonPositiveInputError,
-    QuadratureBudgetError,
-)
+from .errors import BlowUpError, DomainError
 from .geometry import ModelParams
-from .wick import WickPoly, connection_coeff, evaluate, scale_argument, wick_product
+from .wick import WickPoly, connection_coeff, scale_argument, wick_product
 
 BLOWUP_GUARD = 1e6
 
@@ -517,111 +513,3 @@ def cumulant_oracle(table: CovarianceTable, params: ModelParams) -> FlowCoeffici
         lam_g=2.0 - params.l_eps,
         lam_mu_free=params.lam_mu_free,
     )
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Monte Carlo settings for the functional block oracle."""
-
-    n_samples: int = 100_000
-    seed: int = 0
-    budget: int = 10_000_000
-    batch: int = 20_000
-
-
-@dataclass(frozen=True)
-class FunctionalStepResult:
-    phi_grid: np.ndarray
-    z_out: np.ndarray
-    log_norm: float
-    stderr: np.ndarray
-
-
-def sample_block_fluctuation(params: ModelParams, n: int, seed: int) -> np.ndarray:
-    """n draws of the mean-zero block fluctuation over the L^3 boxes, built
-    from independent centered increments on every level of the block."""
-    return _batch_fluctuation(params, n, int(seed))
-
-
-def functional_block_step(
-    z_fn,
-    phi_grid: np.ndarray,
-    params: ModelParams,
-    quad: QuadratureConfig,
-) -> FunctionalStepResult:
-    """Nonperturbative single-block step: averages the product of per-box
-    integrand factors over the block fluctuation, with common random
-    numbers across the background grid.
-
-    z_out is normalized to 1 at phi = 0 (log_norm holds the removed log).
-    Validation oracle only; never on the main computation path.
-    """
-    if quad.n_samples > quad.budget:
-        raise QuadratureBudgetError(f"{quad.n_samples} samples exceed budget {quad.budget}")
-    phi_grid = np.asarray(phi_grid, dtype=float)
-    zero_idx = int(np.argmin(np.abs(phi_grid)))
-    if abs(phi_grid[zero_idx]) > 1e-14:
-        raise DomainError("phi grid must contain 0 for the normalization convention")
-    lam = float(params.L) ** -params.phi_dim
-
-    npts = phi_grid.size
-    acc = np.zeros(npts)
-    acc2 = np.zeros(npts)
-    done = 0
-    batch_idx = 0
-    while done < quad.n_samples:
-        b = min(quad.batch, quad.n_samples - done)
-        rng_key = (int(quad.seed) << 32) + batch_idx
-        zeta = _batch_fluctuation(params, b, rng_key)
-        for j, phi0 in enumerate(phi_grid):
-            vals = z_fn(lam * phi0 + zeta)
-            if np.any(vals <= 0.0):
-                raise NonPositiveInputError("integrand factor must be positive on the sampled range")
-            prod = np.prod(vals, axis=1)
-            acc[j] += prod.sum()
-            acc2[j] += (prod**2).sum()
-        done += b
-        batch_idx += 1
-    n = float(quad.n_samples)
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean**2, 0.0)
-    se = np.sqrt(var / n)
-    if np.any(mean <= 0.0):
-        raise NonPositiveInputError("estimated block integral not positive")
-    z0 = mean[zero_idx]
-    return FunctionalStepResult(
-        phi_grid=phi_grid,
-        z_out=mean / z0,
-        log_norm=float(np.log(z0)),
-        stderr=se / z0,
-    )
-
-
-def _batch_fluctuation(params: ModelParams, n: int, key: int) -> np.ndarray:
-    """Scale by scale: at each level i < l every group of p^3 sibling
-    level-i blocks gets centered iid normal increments weighted p^(-i phi),
-    which reproduces Gamma on every distance class exactly."""
-    rng = np.random.Generator(np.random.Philox(key=key))
-    base = params.p**3
-    nb = params.n_boxes
-    out = np.zeros((n, nb))
-    for i in range(params.l):
-        xi = rng.standard_normal((n, nb // base ** (i + 1), base))
-        xi -= xi.mean(axis=2, keepdims=True)
-        scale = float(params.p) ** (-i * params.phi_dim)
-        out.reshape(n, nb // base**i, base**i)[...] += scale * xi.reshape(n, -1, 1)
-    return out
-
-
-def extract_couplings(phi_grid: np.ndarray, minus_log_z: np.ndarray, c0: float) -> dict:
-    """Least-squares projection of -log(z) onto the Wick basis :phi^k:, k = 0..4, at c0.
-
-    The vacuum split is a convention: the k=0 entry absorbs whatever
-    constant the normalization left behind.
-    """
-    cols = []
-    for k in range(5):
-        cols.append(evaluate(WickPoly(c=c0, coeffs={k: 1.0}), phi_grid))
-    design = np.stack(cols, axis=1)
-    sol, *_ = np.linalg.lstsq(design, minus_log_z, rcond=None)
-    return {k: float(sol[k]) for k in range(5)}

@@ -109,35 +109,9 @@ def wick_product(x: WickPoly, y: WickPoly) -> WickPoly:
     return WickPoly(c=x.c, coeffs=_clean(out))
 
 
-def rewick(wp: WickPoly, c_new) -> WickPoly:
-    """Same function of phi, coefficients in the Wick basis at c_new."""
-    return monomial_to_wick(wick_to_monomial(wp), c_new)
-
-
-def gaussian_moment(wp: WickPoly, variance) -> float:
-    """E[wp(zeta)] for zeta ~ N(0, variance)."""
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    mono = wick_to_monomial(wp)
-    total = 0
-    for n, a in mono.items():
-        if n % 2 == 0:
-            total += a * double_factorial_odd(n // 2) * variance ** (n // 2)
-    return total
-
-
 def scale_argument(wp: WickPoly, lam) -> WickPoly:
     """The function phi -> wp(lam*phi), in the Wick basis at c/lam^2.
 
     Uses Hermite homogeneity He_k(lam*x; lam^2 c) = lam^k He_k(x; c).
     """
     return WickPoly(c=wp.c / lam**2, coeffs=_clean({k: v * lam**k for k, v in wp.coeffs.items()}))
-
-
-def evaluate(wp: WickPoly, phi):
-    """Pointwise value of the Wick polynomial (supports numpy arrays)."""
-    mono = wick_to_monomial(wp)
-    total = 0.0 * phi if hasattr(phi, "shape") else 0.0
-    for n, a in mono.items():
-        total = total + a * phi**n
-    return total

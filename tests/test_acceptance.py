@@ -222,7 +222,7 @@ def test_criterion_07_koenigs_properties(standard_point):
     slope = float(np.polyfit(np.log(zs), np.log(rems), 1)[0])
     assert abs(slope - 2.0) <= 0.05
     semis = semigroup_residuals(v_star, w, fc, params)
-    semis += semigroup_residuals(stable_orbit(1.05 * fc.gbar, fc, params).points[0], w, fc, params)
+    semis += semigroup_residuals(stable_orbit(1.05 * fc.gbar, fc, params).point(0), w, fc, params)
     assert max(semis) <= 1e-9
     print(
         f"criterion 07 PASS: intertwining {res.intertwine_residual:.2e} <= 1e-10; "

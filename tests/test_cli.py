@@ -501,6 +501,9 @@ def _assert_domain_error(rc, out, err, error):
         ["critical-mass", "--g", "nan"],
         ["flow", "--g", "nan"],
         ["observables", "--g-rel", "nan"],
+        # a word that parses as a float is a value, -nan included, in both spellings
+        ["flow", "--g", "-nan"],
+        ["flow", "--g=-nan"],
     ],
 )
 def test_nan_coupling_seed_is_outside_the_manifold_radius(argv):
@@ -508,7 +511,7 @@ def test_nan_coupling_seed_is_outside_the_manifold_radius(argv):
 
 
 @pytest.mark.parametrize(
-    "seed", [["--mu", "nan"], ["--mu", "inf"], ["--g", "nan", "--mu", "0.0"]]
+    "seed", [["--mu", "nan"], ["--mu", "inf"], ["--g", "nan", "--mu", "0.0"], ["--mu", "-inf"], ["--mu=-inf"]]
 )
 def test_flow_non_finite_seed_blows_up(seed):
     _assert_domain_error(*run(["flow", "--steps", "2"] + seed), "BlowUpError")

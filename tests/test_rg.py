@@ -10,21 +10,18 @@ from hrg.rg import (
     BlockCouplings,
     BulkVector,
     DeviationVector,
-    QuadratureConfig,
     block_step,
     bulk_step,
     cumulant_oracle,
     deviation_quadratic,
     deviation_step,
     deviation_vacuum,
-    extract_couplings,
     flow_coefficients,
-    functional_block_step,
-    sample_block_fluctuation,
     second_order_counterterms,
     uv_explicit_series,
 )
 from hrg.wick import connection_coeff
+import exact_block
 from oracles import (
     block_matrix,
     dense_block_outputs,
@@ -604,92 +601,33 @@ def test_cumulant_oracle_vacuum_mass_channel():
 
 
 # ---------------------------------------------------------------------------
-# functional block oracle
+# exact one-block integral (l = 1)
 
 
-def test_functional_free_theory_exact(m21):
-    params, table, fc = m21
-    grid = np.linspace(-3, 3, 13)
-    res = functional_block_step(lambda x: np.ones_like(x), grid, params, QuadratureConfig(n_samples=2000, seed=3))
-    assert np.all(res.z_out == 1.0)
-    assert res.log_norm == 0.0
+EXACT_POINTS = [(2, 1, 0.1), (3, 1, 0.3), (5, 1, 0.1), (7, 1, 0.03)]
 
 
-def test_block_fluctuation_variance(m21):
-    params, table, fc = m21
-    z = sample_block_fluctuation(params, 100_000, seed=21)
-    var = z.var(axis=0).mean()
-    se = np.sqrt(2.0 / 100_000) * table.gamma_ball * np.sqrt(params.n_boxes) / params.n_boxes**0.5
-    assert var == pytest.approx(table.gamma_ball, abs=3 * 0.005)
-    cov = np.cov(z.T)
-    assert np.allclose(np.diag(cov), table.gamma_ball, atol=0.02)
-    off = cov[~np.eye(params.n_boxes, dtype=bool)]
-    assert off.mean() == pytest.approx(table.gamma_shell[0], abs=0.01)
+def test_exact_block_free_theory_is_exact():
+    # z = 1 on every box integrates to 1 at every background
+    for p in (2, 7):
+        assert np.max(np.abs(exact_block.block_integral(np.ones_like(exact_block.U), p, 0.1) - 1.0)) < 1e-10
+    with pytest.raises(ValueError):
+        exact_block.c0_zero(2, 2, 0.1)
 
 
-def test_block_fluctuation_covariance_two_levels():
-    # the level-by-level draw reproduces Gamma on every distance class
-    from hrg.geometry import distance_exponents
-
-    params = make_params(2, 2, 0.1)
-    table = covariance_table(params)
-    cov = np.cov(sample_block_fluctuation(params, 40_000, seed=5).T)
-    k = distance_exponents(params.p, params.l)
-    for shell, want in enumerate((table.gamma_ball, *table.gamma_shell)):
-        assert cov[k == shell].mean() == pytest.approx(want, abs=0.01)
+def test_exact_block_c0_matches_table():
+    for p, l, eps in EXACT_POINTS:
+        table = covariance_table(make_params(p, l, eps))
+        assert exact_block.c0_zero(p, l, eps) == pytest.approx(table.c0_zero, rel=1e-14)
 
 
-def test_functional_effective_coupling(m21):
-    # quartic projection of the one-block integral against the explicit flow
-    params, table, fc = m21
-    from hrg.wick import WickPoly, evaluate
-
-    g = 1e-4
-    c0 = table.c0_zero
-    quartic = WickPoly(c=c0, coeffs={4: g})
-
-    def z_fn(x):
-        return np.exp(-evaluate(quartic, x))
-
-    turning = g ** -0.25
-    grid = np.linspace(-2 * turning, 2 * turning, 41)
-    grid = grid - grid[20]  # force an exact zero
-    res = functional_block_step(z_fn, grid, params, QuadratureConfig(n_samples=120_000, seed=17))
-    proj = extract_couplings(grid, -np.log(res.z_out), c0)
-    predicted = params.l_eps * g - fc.a1 * g * g
-    mc_err = np.max(res.stderr)
-    assert abs(proj[4] - predicted) < 5 * mc_err + 1e4 * g**3
-
-
-def test_functional_deterministic(m21):
-    params, table, fc = m21
-    grid = np.linspace(-2, 2, 9)
-
-    def z_fn(x):
-        return np.exp(-1e-3 * x**4)
-
-    a = functional_block_step(z_fn, grid, params, QuadratureConfig(n_samples=5000, seed=9))
-    b = functional_block_step(z_fn, grid, params, QuadratureConfig(n_samples=5000, seed=9))
-    assert np.array_equal(a.z_out, b.z_out)
-    assert a.log_norm == b.log_norm
-
-
-def test_functional_rejects_nonpositive_integrand(m21):
-    params, table, fc = m21
-    grid = np.linspace(-2, 2, 9)
-    from hrg.errors import NonPositiveInputError, QuadratureBudgetError, DomainError
-
-    with pytest.raises(NonPositiveInputError):
-        functional_block_step(
-            lambda x: 1.0 - x**2, grid, params, QuadratureConfig(n_samples=2000, seed=1)
-        )
-    with pytest.raises(QuadratureBudgetError):
-        functional_block_step(
-            lambda x: np.ones_like(x), grid, params,
-            QuadratureConfig(n_samples=100, budget=10, seed=1),
-        )
-    with pytest.raises(DomainError):
-        functional_block_step(
-            lambda x: np.ones_like(x), np.linspace(1.0, 2.0, 5), params,
-            QuadratureConfig(n_samples=100, seed=1),
-        )
+@pytest.mark.parametrize("p,l,eps", EXACT_POINTS)
+def test_exact_block_reproduces_flow_coefficients(p, l, eps):
+    params = make_params(p, l, eps)
+    fc = flow_coefficients(covariance_table(params), params)
+    L, phi = float(params.L), params.phi_dim
+    want = {"a1": fc.a1, "a2": fc.a2, "a3": fc.a3, "a4": fc.a4, "a5": fc.a5,
+            "L^(3-4phi)": L ** (3 - 4 * phi), "L^(3-2phi)": L ** (3 - 2 * phi)}
+    got = exact_block.flow_coefficients(p, l, eps)
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-5), name

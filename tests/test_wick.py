@@ -11,14 +11,12 @@ from hrg.errors import DegreeError, WickConstantMismatchError
 from hrg.wick import (
     WickPoly,
     connection_coeff,
-    evaluate,
-    gaussian_moment,
     monomial_to_wick,
-    rewick,
     scale_argument,
     wick_product,
     wick_to_monomial,
 )
+import exact_block
 
 
 def test_connection_coeff_examples():
@@ -118,43 +116,10 @@ def test_degree_cap():
         wick_product(WickPoly(c=1, coeffs={9: 1}), WickPoly(c=1, coeffs={9: 1}))
 
 
-def test_rewick():
-    c, cp = Fraction(3, 2), Fraction(1, 5)
-    wp = WickPoly(c=c, coeffs={2: 1})
-    out = rewick(wp, cp)
-    assert out.coeffs == {2: 1, 0: cp - c}
-    wp4 = rewick(WickPoly(c=Fraction(1), coeffs={4: 1}), Fraction(0))
-    assert wp4.coeffs == {4: 1, 2: -6, 0: 3}
-    # float round trip at the covariance scale
-    w = WickPoly(c=1.3802, coeffs={4: 0.3, 3: -1.0, 1: 2.0})
-    back = rewick(rewick(w, 0.5), 1.3802)
-    for k in w.coeffs:
-        assert back.coeffs[k] == pytest.approx(w.coeffs[k], abs=1e-12)
-
-
-def test_gaussian_moments():
-    for c in (0.5, 1.0, 1.3802):
-        for k in range(1, 13):
-            wp = WickPoly(c=c, coeffs={k: 1.0})
-            assert gaussian_moment(wp, c) == pytest.approx(0.0, abs=1e-9)
-    # plain quartic monomial
-    mono = monomial_to_wick({4: 1.0}, 0.0)
-    for s2 in (0.3, 1.7):
-        assert gaussian_moment(mono, s2) == pytest.approx(3 * s2**2, rel=1e-13)
-    # ordered quartic against a mismatched variance
-    c = 0.8
-    wp = WickPoly(c=c, coeffs={4: 1.0})
-    for s2 in (0.1, 0.8, 2.0):
-        assert gaussian_moment(wp, s2) == pytest.approx(3 * (s2 - c) ** 2, abs=1e-12)
-
-
-def test_gaussian_moment_quadrature_oracle():
-    c, s2 = 0.7, 1.9
-    wp = WickPoly(c=c, coeffs={4: 0.5, 2: -1.0, 0: 2.0})
-    xs = np.linspace(-12, 12, 400001)
-    dens = np.exp(-(xs**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)
-    numeric = np.trapezoid(evaluate(wp, xs) * dens, xs)
-    assert gaussian_moment(wp, s2) == pytest.approx(float(numeric), rel=1e-8)
+def _values(wp: WickPoly, xs):
+    """Pointwise values through the Hermite basis of the exact block oracle."""
+    coeffs = [float(wp.coeff(n)) for n in range(wp.degree + 1)]
+    return exact_block.wick_basis(xs, wp.c, wp.degree) @ coeffs
 
 
 def test_scale_argument_homogeneity():
@@ -163,4 +128,4 @@ def test_scale_argument_homogeneity():
     scaled = scale_argument(wp, lam)
     assert scaled.c == pytest.approx(c / lam**2)
     xs = np.linspace(-2, 2, 11)
-    assert np.allclose(evaluate(scaled, xs), evaluate(wp, lam * xs), atol=1e-12)
+    assert np.allclose(_values(scaled, xs), _values(wp, lam * xs), atol=1e-12)
