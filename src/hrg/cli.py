@@ -14,14 +14,15 @@ keys and other commands' keys are shared.
 
 Exit codes: 0 success, 2 domain errors and bad arguments or config values
 (machine-readable JSON on stderr), 1 internal faults.  Outputs are
-byte-deterministic for identical configs; floats are serialized in their
-shortest round-trip form (Python's repr) in both JSON and CSV.
+byte-deterministic for identical configs: JSON as json.dumps(indent=2, sort_keys=True)
+writes it, by a small recursive writer, and floats as their repr in JSON and CSV.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .geometry import DEFAULT_BOX_BUDGET, make_params
 from .rg import BulkVector, bulk_step, flow_coefficients, iterate_bulk
 
 SCHEMA_VERSION = "2"
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null", "True": "true", "False": "false"}
 
 
 def _fmt(x) -> str:
@@ -41,26 +43,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json(obj, pad: str) -> str:
+    """`obj` as json.dumps(obj, indent=2, sort_keys=True) writes it at the
+    indent `pad`, with numpy scalars and arrays read as Python values."""
+    if isinstance(obj, (float, np.floating)):
+        text = repr(float(obj))  # the shortest round trip; repr(np.float64(x)) names its type
+        return _JSON_WORDS.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return _JSON_WORDS[repr(obj)]
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if isinstance(obj, np.ndarray):
+        return _json(obj.tolist(), pad)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [_json(v, inner) for v in obj], "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}" if items else ends
+
+
 def dump_report(payload: dict) -> str:
-    """Serialize a report with a schema tag; numpy scalars and arrays become
-    Python values, so json writes each float as its shortest round-trip repr."""
-    body = {"schema_version": SCHEMA_VERSION}
-    body.update(payload)
-
-    def walk(obj):
-        if isinstance(obj, dict):
-            return {k: walk(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [walk(v) for v in obj]
-        if isinstance(obj, (float, np.floating)):
-            return float(obj)
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, np.ndarray):
-            return walk(obj.tolist())
-        return obj
-
-    return json.dumps(walk(body), indent=2, sort_keys=True) + "\n"
+    """Serialize a report with a schema tag, byte for byte as json.dumps(indent=2,
+    sort_keys=True) would once numpy values are Python ones: floats as their repr."""
+    return _json({"schema_version": SCHEMA_VERSION, **payload}, "") + "\n"
 
 
 def load_report(text: str) -> dict:

@@ -14,8 +14,8 @@ linear once the coupling orbit is known, so the solution is one forward
 sweep in delta_g and one backward sweep in mu, kept as two arrays over a
 fixed short depth: deep enough that the upsilon terms past it are
 negligible and that the backward sweep's frozen start has died out.  The
-bisection oracle for the critical mass uses the same split: it sweeps the
-coupling orbit once and iterates the mass alone for each trial.
+bisection oracle for the critical mass uses the same split: one lazy coupling
+sweep, then one tight float loop over the mass alone for each trial.
 
 The Jacobians along the orbit are lower triangular too, so the
 chained-Jacobian limits of the partial linearization are cumulative
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -217,38 +218,57 @@ def critical_mass(g: float, fc: FlowCoefficients, params: ModelParams, method: s
 def _critical_mass_bisection(delta_g0: float, fc: FlowCoefficients, params: ModelParams) -> float:
     """Bisect the starting mass on the escape side of its orbit.
 
-    The coupling orbit is swept once, lazily: step n holds delta_g_n, the
-    mass-free terms a2 g_n^2 and a3 g_n of the mass update, and whether the
-    coupling froze there.  Each escape test then iterates the mass alone,
-    with the float operations of `bulk_step` in its order, so the result and
-    the BlowUpError guards are those of stepping `bulk_step` itself.
+    The coupling orbit is swept once, lazily and in doubling chunks, up to
+    where it freezes or fails the BLOWUP_GUARD test.  Each escape test then
+    iterates the mass alone, with the float operations of `bulk_step` in its
+    order, so the result and the BlowUpError guards, raised at the same
+    step, are those of stepping `bulk_step` itself.
     """
     guard = ESCAPE_GUARD_FACTOR * fc.gbar
-    lam_mu = fc.lam_mu_free
-    steps = []  # (delta_g_n, a2 g_n^2, a3 g_n, delta_g_{n+1} == delta_g_n)
-    dg_new = delta_g0  # delta_g at the first step not yet in steps
+    lam_mu, cut = fc.lam_mu_free, min(guard, BLOWUP_GUARD)
+    steps = []  # (delta_g_n, a2 g_n^2, a3 g_n) while the coupling still moves
+    dg = delta_g0  # delta_g at step len(steps), the first one not in steps
+    frozen = None  # (a2 g^2, a3 g) at every step from len(steps) on, once delta_g stays put
 
-    def blow_up(dg: float, mu: float) -> BlowUpError:
-        return BlowUpError(f"couplings {dg}, {mu} outside guard {BLOWUP_GUARD}")
+    def sweep():
+        nonlocal dg, frozen
+        for _ in range(min(len(steps) + 16, ESCAPE_MAX_STEPS - len(steps))):
+            if not abs(dg) <= BLOWUP_GUARD:  # NaN fails too
+                return
+            g = fc.gbar + dg
+            nxt = fc.lam_g * dg - fc.a1 * dg**2
+            if nxt == dg:
+                frozen = (fc.a2 * g * g, fc.a3 * g)
+                return
+            steps.append((dg, fc.a2 * g * g, fc.a3 * g))
+            dg = nxt
+
+    def outside(dg: float, mu: float) -> int:
+        # mu has left [-cut, cut], or the coupling dg fails its guard: escape or blow up
+        if abs(mu) > guard:
+            return 1 if mu > 0 else -1
+        raise BlowUpError(f"couplings {dg}, {mu} outside guard {BLOWUP_GUARD}")
 
     def escape_side(mu: float) -> int:
         # 0 marks a float-exact manifold point whose orbit never escapes
-        nonlocal dg_new
-        for n in range(ESCAPE_MAX_STEPS):
-            if abs(mu) > guard:
-                return 1 if mu > 0 else -1
-            if n == len(steps):
-                dg = dg_new
-                if not abs(dg) <= BLOWUP_GUARD:
-                    raise blow_up(dg, mu)
-                g = fc.gbar + dg
-                dg_new = fc.lam_g * dg - fc.a1 * dg**2
-                steps.append((dg, fc.a2 * g * g, fc.a3 * g, dg_new == dg))
-            dg, a, b, frozen = steps[n]
-            if not abs(mu) <= BLOWUP_GUARD:
-                raise blow_up(dg, mu)
-            nxt = lam_mu * mu - a - b * mu
-            if frozen and nxt == mu:
+        lam, lo, hi = lam_mu, -cut, cut  # locals, not closure cells, in the loops
+        n = 0
+        while True:
+            for dg_n, a, b in islice(steps, n, None) if n else steps:  # the list itself from step 0: islice costs per item
+                if not lo <= mu <= hi:
+                    return outside(dg_n, mu)
+                mu = lam * mu - a - b * mu
+            n = len(steps)
+            if n == ESCAPE_MAX_STEPS or frozen is not None:
+                break
+            if not abs(dg) <= BLOWUP_GUARD:
+                return outside(dg, mu)
+            sweep()
+        for a, b in repeat(frozen, ESCAPE_MAX_STEPS - n):  # none unless the coupling froze
+            if not lo <= mu <= hi:
+                return outside(dg, mu)
+            nxt = lam * mu - a - b * mu
+            if nxt == mu:
                 return 0
             mu = nxt
         return 0

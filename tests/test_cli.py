@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hrg.cli import dump_report, load_report, read_config, run_command
 from hrg.covariance import covariance_table
@@ -291,6 +292,56 @@ def test_dump_report_matches_17_digit_round_trip_on_drawn_floats(xs):
     assert dump_report(payload) == _dump_through_17_digits(payload)
 
 
+def _dump_through_json(payload):
+    # the serializer as it was: numpy values turned into Python ones, then
+    # the stdlib's encoder
+    def walk(obj):
+        if isinstance(obj, dict):
+            return {k: walk(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [walk(v) for v in obj]
+        if isinstance(obj, (float, np.floating)):
+            return float(obj)
+        if isinstance(obj, (np.integer,)):
+            return int(obj)
+        if isinstance(obj, np.ndarray):
+            return walk(obj.tolist())
+        return obj
+
+    body = {"schema_version": "2"}
+    body.update(payload)
+    return json.dumps(walk(body), indent=2, sort_keys=True) + "\n"
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters
+JSON_TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀\u2028') | st.characters(), max_size=6)
+JSON_LEAVES = st.one_of(
+    st.floats(),  # NaN, infinities, -0.0 and subnormals included
+    st.integers(-(2**200), 2**200),
+    st.booleans(),
+    st.none(),
+    JSON_TEXT,
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=120)
+@given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+def test_dump_report_matches_the_stdlib_encoder_on_drawn_payloads(payload):
+    assert dump_report(payload) == _dump_through_json(payload)
+
+
 # texts of each option: (in its domain, cast but refused by the command,
 # failing the cast or the choices check); is_prime is trial division, so p
 # stays small
@@ -304,6 +355,8 @@ FUZZ_OPTIONS = {
     "linearize": {"p": FUZZ_P, "l": FUZZ_L, "eps": FUZZ_EPS},
     "flow": {"p": FUZZ_P, "l": FUZZ_L, "eps": FUZZ_EPS, "g": FUZZ_COUPLING, "mu": FUZZ_COUPLING,
              "steps": (["0", "1", "5", "30"], [], ["-3", "1e1", "2.5", "nan", ""])},
+    "critical-mass": {"p": FUZZ_P, "l": FUZZ_L, "eps": FUZZ_EPS, "g": FUZZ_COUPLING,
+                      "g-rel": (["1", "0.95", "1.05", "1.4", "6e-1"], ["0", "2", "-1", "nan", "inf"], ["abc", ""])},
 }
 FUZZ_UNKNOWN = ["bogus", "threads", "eps-list", "samples", "format", "config", "z"]
 
@@ -537,3 +590,21 @@ def test_bulk_commands_run_past_the_box_budget():
     # past the float range the box count is refused, not overflowed
     _assert_domain_error(*run(["coeffs", "--p", "2", "--l", "342"]), "BoxBudgetError")
     assert run(["coeffs", "--p", "2", "--l", "341"])[0] == 0
+
+
+@pytest.mark.parametrize("point, koenigs_code", [(("11", "3", "0.1"), 0), (("101", "3", "0.01"), 2)], ids=["p11", "p101"])
+def test_every_bulk_command_keeps_its_exit_code_at_large_volume(point, koenigs_code):
+    # 11^9 and 101^9 boxes: every command but mc and sweep, with the exit
+    # codes they give today; flow's default 20 steps leave the manifold
+    # through rounding and blow up at both points
+    args = ["--p", point[0], "--l", point[1], "--eps", point[2]]
+    codes = {"coeffs": 0, "fixed-point": 0, "linearize": 0, "critical-mass": 0, "observables": 0,
+             "flow": 2, "koenigs": koenigs_code}
+    for command, code in codes.items():
+        argv = [command] + args + (["--format", "json"] if command == "coeffs" else [])
+        rc, out, err = run(argv)
+        assert rc == code, (argv, err)
+        if rc == 2:
+            assert out == "" and isinstance(json.loads(err), dict), argv
+        else:
+            assert err == "" and load_report(out)["command"] == command, argv

@@ -13,7 +13,7 @@ from hrg.errors import (
     OffManifoldError,
 )
 from hrg.geometry import make_params
-from hrg.rg import BulkVector, FlowCoefficients, bulk_step, flow_coefficients
+from hrg.rg import BLOWUP_GUARD, BulkVector, FlowCoefficients, bulk_step, flow_coefficients
 from hrg.dynamics import (
     EigenData,
     _critical_mass_bisection,
@@ -531,6 +531,22 @@ def test_mass_only_bisection_keeps_the_bulk_step_guards(m21):
     ]
     for delta_g0, coeffs, error in cases:
         assert _bisect_both(delta_g0, coeffs, params) == [error, error]
+
+
+def test_mass_only_bisection_ignores_a_blow_up_that_no_trial_reaches(m21):
+    # the coupling grows as dg -> dg + dg^2 / (20 dg_0) and fails the
+    # BLOWUP_GUARD test at step 28, while every trial escapes by step 26:
+    # the lazy sweep passes that step without raising, as bulk steps never
+    # get there
+    params, table, fc, v_star, eig = m21
+    delta_g0 = 0.1 * fc.gbar
+    coeffs = _synthetic(fc, lam_g=1.0, a1=-1.0 / (20.0 * delta_g0))
+    dg, crossing = delta_g0, 0
+    while abs(dg) <= BLOWUP_GUARD:
+        dg, crossing = dg - coeffs.a1 * dg**2, crossing + 1
+    assert crossing == 28
+    new, old = _bisect_both(delta_g0, coeffs, params)
+    assert isinstance(new, float) and new == old
 
 
 def test_bisection_never_steps_the_bulk_map(m21, monkeypatch):

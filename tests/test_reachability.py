@@ -62,7 +62,6 @@ UNREACHED = {
     "wick.wick_to_monomial": ORACLE,
     "wick.wick_product": ORACLE,
     "wick.scale_argument": ORACLE,
-    "dynamics._critical_mass_bisection.blow_up": ERROR_PATH,
     "errors.ConvergenceError.__init__": ERROR_PATH,
 }
 
