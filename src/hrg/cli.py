@@ -245,7 +245,6 @@ def _cmd_koenigs(o) -> str:
     eig = dynamics.unstable_eigenpair(dynamics.jacobian_at(v, fc))
     w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
     res = dynamics.koenigs_psi(v, w, fc, params)
-    semis = dynamics.semigroup_residuals(v, w, fc, params)
     return dump_report(
         {
             "command": "koenigs",
@@ -254,7 +253,8 @@ def _cmd_koenigs(o) -> str:
             "value": [res.value.delta_g, res.value.mu],
             "intertwine_residual": res.intertwine_residual,
             "quadratic_coeff_estimate": res.quadratic_coeff_estimate,
-            "semigroup_residuals": semis,
+            "semigroup_residuals": res.semigroup_residuals,
+            "double_iteration_residual": res.double_iteration_residual,
         }
     )
 

@@ -24,7 +24,11 @@ In X = delta_g / gbar the coupling map is X -> lam_g X - (1 - lam_g) X^2,
 because a1 gbar = 1 - lam_g, so that rest is a one-parameter orbit sum:
 the Koenigs (Schroder) coordinate of this map, the paper's partial
 linearization in one dimension, sums it as a power series, with no depth
-cap on small eps.
+cap on small eps.  The conjugating map of the partial linearization is
+then closed form, psi(v, w) = v* + (ell(v) . w) e_u with ell the row of
+that limit, because at the fixed point a mass deviation is multiplied by
+exactly alpha_u at each step; the paper's defining double iteration checks
+it once per evaluation.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ KOENIGS_RTOL = 2.0**-60  # the tail series stops once two terms in a row fall be
 KOENIGS_MAX_TERMS = 64
 KOENIGS_MAX_STEPS = 10_000  # exact coupling steps the tail may take before its series converges
 SEMIGROUP_SHIFTS = (1, 2, 3)
-CONTRACTION_WINDOW = (20, 30)  # orbit steps whose decay ratios measure_contraction averages
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,8 @@ class KoenigsResult:
     n_used: int
     intertwine_residual: float
     quadratic_coeff_estimate: float
-
-
-def _norm(v: BulkVector) -> float:
-    return max(abs(v.delta_g), abs(v.mu))
+    double_iteration_residual: float
+    semigroup_residuals: list
 
 
 def _diff(a: BulkVector, b: BulkVector) -> float:
@@ -304,18 +305,6 @@ def orbit_for_seed(v: BulkVector, fc: FlowCoefficients, params: ModelParams) -> 
     return orbit
 
 
-def measure_contraction(orbit: ManifoldOrbit) -> float:
-    """Geometric decay ratio of the trajectory's distance to the fixed point,
-    averaged over the steps in CONTRACTION_WINDOW that the orbit stores."""
-    n_lo, n_hi = CONTRACTION_WINDOW
-    n_hi = min(n_hi, orbit.settle_index)
-    dists = [_diff(orbit.point(n), orbit.v_star) for n in range(n_hi + 1)]
-    ratios = [dists[n + 1] / dists[n] for n in range(n_lo, n_hi) if dists[n] > 0]
-    if not ratios:
-        raise DomainError("no stored orbit step off the fixed point in the sampled window")
-    return float(np.mean(ratios))
-
-
 # ---------------------------------------------------------------------------
 # partial linearization
 
@@ -332,26 +321,30 @@ def psi_fixed_seed(
     w: BulkVector,
     fc: FlowCoefficients,
     params: ModelParams,
-    v_star: BulkVector | None = None,
+    v_star: BulkVector,
+    alpha_u: float | None = None,
 ):
     """Defining double iteration seeded at the fixed point.
 
     Successive stages are compared in the Cauchy sense; once rounding of
     the fixed point starts re-amplifying (stage differences grow instead of
-    shrinking), the best stage is returned.  Returns (value, n_used,
-    achieved_difference).
+    shrinking), or a stage leaves the BLOWUP_GUARD box, the best stage is
+    returned.  Returns (value, n_used, achieved_difference).
     """
-    if v_star is None:
-        v_star = find_fixed_point(fc, params)
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    alpha = eig.alpha_u
+    if alpha_u is None:
+        alpha_u = unstable_eigenpair(jacobian_at(v_star, fc)).alpha_u
     prev = None
     best = None
     best_diff = np.inf
     best_n = 0
     grow = 0
     for n in range(PSI_MAX_STAGES):
-        cur = _psi_stage(v_star, w, alpha, n, fc, params)
+        try:
+            cur = _psi_stage(v_star, w, alpha_u, n, fc, params)
+        except BlowUpError:
+            if best is None:
+                raise
+            return best, best_n, best_diff
         if prev is not None:
             d = _diff(cur, prev)
             if d < PSI_TOL:
@@ -364,17 +357,20 @@ def psi_fixed_seed(
                 if grow >= 3:
                     return best, best_n, best_diff
         prev = cur
-    raise ConvergenceError(f"no Cauchy convergence within {PSI_MAX_STAGES} stages", n_used=PSI_MAX_STAGES)
+    raise ConvergenceError(f"no Cauchy convergence within {PSI_MAX_STAGES} stages")
 
 
 def transport_along(
     orbit: ManifoldOrbit, w: BulkVector, fc: FlowCoefficients, alpha_u: float, q: int
 ) -> BulkVector:
-    """alpha_u^-q times the q-step chained Jacobian along the orbit, applied to w."""
-    y = np.array([w.delta_g, w.mu])
-    for n in range(q):
-        y = (jacobian_at(orbit.point(n), fc) @ y) / alpha_u
-    return BulkVector(float(y[0]), float(y[1]))
+    """alpha_u^-q times the q-step chained Jacobian along the orbit, applied
+    to w, one float step of the lower triangular `jacobian_at` at a time."""
+    y_g, y_mu = w.delta_g, w.mu
+    for v in map(orbit.point, range(q)):
+        g = fc.gbar + v.delta_g
+        j10, j11 = -2.0 * fc.a2 * g - fc.a3 * v.mu, fc.lam_mu_free - fc.a3 * g
+        y_g, y_mu = (fc.lam_g - 2.0 * fc.a1 * v.delta_g) * y_g / alpha_u, (j10 * y_g + j11 * y_mu) / alpha_u
+    return BulkVector(y_g, y_mu)
 
 
 def koenigs_value(
@@ -383,43 +379,44 @@ def koenigs_value(
     fc: FlowCoefficients,
     params: ModelParams,
     orbit: ManifoldOrbit | None = None,
+    alpha_u: float | None = None,
 ):
-    """Conjugating map value at (v, w); returns (value, n_used).
-
-    The argument is transported to the fixed point by the `t_infinity`
-    limit along the orbit through v (the conjugation semigroup identity
-    taken to its end), where the defining limit is evaluated.  For v at
-    the fixed point and w along e_u this is the plain double iteration.
-    """
+    """Conjugating map psi(v, w) = v* + (0, kappa) in closed form, with
+    kappa = ell . w the `t_infinity` limit of w along the orbit through v:
+    at the fixed point the double iteration multiplies a mass deviation by
+    exactly alpha_u at each step.  Returns (value, row ell)."""
     if orbit is None:
         orbit = orbit_for_seed(v, fc, params)
-    w_t, _ = t_infinity(v, w, fc, params, orbit=orbit)
-    value, n_used, _ = psi_fixed_seed(w_t, fc, params, v_star=orbit.v_star)
-    return value, n_used
+    _, kappa, row = t_infinity(v, w, fc, params, orbit=orbit, alpha_u=alpha_u)
+    return BulkVector(orbit.v_star.delta_g, orbit.v_star.mu + kappa), row
 
 
 def koenigs_psi(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: ModelParams) -> KoenigsResult:
-    """Conjugating map with intertwining and curvature diagnostics."""
+    """Conjugating map at (v, w) with its checks, from one orbit, one
+    eigenpair and the row ell at v.
+
+    The values at w, w / alpha_u and w / 2 follow from the row by
+    linearity.  It is checked by one `bulk_step` of psi(v, w / alpha_u)
+    (intertwining), by the rows at later orbit points (`semigroup_residuals`),
+    and by the double iteration of (0, ell . w), which shares no code with
+    it and whose stage count is n_used.
+    """
     orbit = orbit_for_seed(v, fc, params)
-    eig = unstable_eigenpair(jacobian_at(orbit.v_star, fc))
-    alpha = eig.alpha_u
-    value, n_used = koenigs_value(v, w, fc, params, orbit=orbit)
-    shrunk, _ = koenigs_value(v, BulkVector(w.delta_g / alpha, w.mu / alpha), fc, params, orbit=orbit)
-    image, _ = bulk_step(shrunk, fc, params)
-    intertwine = _diff(image, value)
-    half, _ = koenigs_value(v, BulkVector(0.5 * w.delta_g, 0.5 * w.mu), fc, params, orbit=orbit)
+    alpha = unstable_eigenpair(jacobian_at(orbit.v_star, fc)).alpha_u
+    value, row = koenigs_value(v, w, fc, params, orbit=orbit, alpha_u=alpha)
     base = orbit.v_star
-    wnorm = _norm(w)
-    second = max(
-        abs(value.delta_g - 2.0 * half.delta_g + base.delta_g),
-        abs(value.mu - 2.0 * half.mu + base.mu),
-    )
-    quad = 2.0 * second / wnorm**2 if wnorm > 0 else 0.0
+    shrunk = BulkVector(base.delta_g, base.mu + _apply(row, BulkVector(w.delta_g / alpha, w.mu / alpha)))
+    half_mu = base.mu + _apply(row, BulkVector(0.5 * w.delta_g, 0.5 * w.mu))
+    wnorm = max(abs(w.delta_g), abs(w.mu))
+    quad = 2.0 * abs(value.mu - 2.0 * half_mu + base.mu) / wnorm**2 if wnorm > 0 else 0.0
+    fixed, n_used, _ = psi_fixed_seed(BulkVector(0.0, _apply(row, w)), fc, params, v_star=base, alpha_u=alpha)
     return KoenigsResult(
         value=value,
         n_used=n_used,
-        intertwine_residual=intertwine,
+        intertwine_residual=_diff(bulk_step(shrunk, fc, params)[0], value),
         quadratic_coeff_estimate=quad,
+        double_iteration_residual=_diff(fixed, value),
+        semigroup_residuals=semigroup_residuals(orbit, w, fc, params, alpha, row),
     )
 
 
@@ -491,48 +488,59 @@ def mass_products(orbit: ManifoldOrbit, fc: FlowCoefficients, alpha_u: float) ->
     return np.exp(logs), math.exp(float(logs[-1]) + tail)
 
 
+def _apply(row: tuple, w: BulkVector) -> float:
+    """kappa = K w_mu + E w_g for the row (E, K) of `t_infinity`."""
+    e, k = row
+    return k * w.mu if w.delta_g == 0.0 else k * w.mu + e * w.delta_g
+
+
 def t_infinity(
     v: BulkVector,
     w: BulkVector,
     fc: FlowCoefficients,
     params: ModelParams,
     orbit: ManifoldOrbit | None = None,
+    alpha_u: float | None = None,
 ) -> tuple:
     """Limit of alpha_u^-n DF^n(v) w along the orbit of v.
 
-    Returns (limit vector, kappa), the limit being kappa (0, 1).  With P
-    and P_inf from `mass_products`, c_n = J_10(v_n) / alpha_u and
-    D_n = prod_{j<n} J_00(v_j) / alpha_u,
-    kappa = P_inf w_mu + w_g sum_n c_n D_n P_inf / P_{n+1}.  Past the stored
+    Returns (limit vector, kappa, row): the limit is kappa (0, 1), and the
+    row (E, K) gives kappa = K w_mu + E w_g.  With P and P_inf from
+    `mass_products`, c_n = J_10(v_n) / alpha_u and
+    D_n = prod_{j<n} J_00(v_j) / alpha_u, K = P_inf and
+    E = sum_n c_n D_n P_inf / P_{n+1}, one float loop.  Past the stored
     depth M the terms shrink by lam_g / alpha_u each and are summed as a
     geometric tail from term M, where D_M, of order (lam_g / alpha_u)^M, is
-    already far below the rounding of the sum.
+    already far below the rounding of the sum.  E is None, and not summed,
+    for a w with no coupling part.
     """
     if orbit is None:
         orbit = orbit_for_seed(v, fc, params)
-    alpha = unstable_eigenpair(jacobian_at(orbit.v_star, fc)).alpha_u
-    products, p_inf = mass_products(orbit, fc, alpha)
-    kappa = p_inf * w.mu
+    if alpha_u is None:
+        alpha_u = unstable_eigenpair(jacobian_at(orbit.v_star, fc)).alpha_u
+    products, p_inf = mass_products(orbit, fc, alpha_u)
+    e = None
     if w.delta_g != 0.0:
-        c = (-2.0 * fc.a2 * (fc.gbar + orbit.dg) - fc.a3 * orbit.mu) / alpha
-        d = np.append(1.0, np.cumprod((fc.lam_g - 2.0 * fc.a1 * orbit.dg[:-1]) / alpha))
-        weight = np.append(p_inf / products[1:], 1.0 / (1.0 - fc.lam_g / alpha))
-        kappa += w.delta_g * float(np.sum(c * d * weight))
-    return BulkVector(0.0, kappa), kappa
+        weights = [p_inf / p for p in products[1:].tolist()] + [1.0 / (1.0 - fc.lam_g / alpha_u)]
+        e, d = 0.0, 1.0
+        for dg, mu, weight in zip(orbit.dg.tolist(), orbit.mu.tolist(), weights):
+            e += (-2.0 * fc.a2 * (fc.gbar + dg) - fc.a3 * mu) / alpha_u * d * weight
+            d *= (fc.lam_g - 2.0 * fc.a1 * dg) / alpha_u
+    kappa = _apply((e, p_inf), w)
+    return BulkVector(0.0, kappa), kappa, (e, p_inf)
 
 
-def semigroup_residuals(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: ModelParams) -> list:
-    """Residuals of the conjugation semigroup identity at SEMIGROUP_SHIFTS."""
-    orbit = orbit_for_seed(v, fc, params)
-    eig = unstable_eigenpair(jacobian_at(orbit.v_star, fc))
-    base, _ = koenigs_value(v, w, fc, params, orbit=orbit)
+def semigroup_residuals(orbit: ManifoldOrbit, w: BulkVector, fc, params, alpha_u: float, row: tuple) -> list:
+    """Residuals of the conjugation semigroup identity
+    psi(v_0, w) = psi(v_q, alpha_u^-q DF^q(v_0) w) at SEMIGROUP_SHIFTS: the
+    `t_infinity` row at each distinct orbit start, applied to the
+    `transport_along` image of w, against the row at v_0 applied to w."""
+    rows = {0: row}
     out = []
     for q in SEMIGROUP_SHIFTS:
-        shifted_w = transport_along(orbit, w, fc, eig.alpha_u, q)
-        k = min(q, orbit.settle_index)  # a settled orbit stays at its last point
-        shifted_orbit = ManifoldOrbit(
-            dg=orbit.dg[k:], mu=orbit.mu[k:], v_star=orbit.v_star, settle_index=orbit.settle_index - k
-        )
-        other, _ = koenigs_value(orbit.point(q), shifted_w, fc, params, orbit=shifted_orbit)
-        out.append(_diff(base, other))
+        k = min(q, orbit.settle_index)  # a settled orbit stays at its last point, where one row serves
+        if k not in rows:
+            shifted = ManifoldOrbit(orbit.dg[k:], orbit.mu[k:], orbit.v_star, orbit.settle_index - k)
+            rows[k] = t_infinity(orbit.point(k), w, fc, params, orbit=shifted, alpha_u=alpha_u)[2]
+        out.append(abs(_apply(rows[k], transport_along(orbit, w, fc, alpha_u, q)) - _apply(row, w)))
     return out

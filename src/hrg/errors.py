@@ -48,10 +48,6 @@ class EscapeAmbiguousError(HRGError):
 class ConvergenceError(HRGError):
     """Iterative limit not reached within the step budget."""
 
-    def __init__(self, message, n_used=None):
-        super().__init__(message)
-        self.n_used = n_used
-
 
 class OffManifoldError(HRGError):
     """Seed orbit does not approach the fixed point."""

@@ -132,12 +132,6 @@ def distance_exponents(p: int, levels: int) -> np.ndarray:
     return levels - lcp
 
 
-def shell_measure(params: ModelParams, k: int) -> float:
-    """Haar measure of the shell |x| = p^k, normalized so the unit ball has mass 1."""
-    p = float(params.p)
-    return p ** (3 * k) * (1.0 - p**-3)
-
-
 def distance_class_sizes(params: ModelParams):
     """Number of boxes at distance p^k (k=1..l) from any fixed box."""
     p = params.p

@@ -8,12 +8,13 @@ import numpy as np
 
 from hrg.dynamics import ManifoldOrbit, find_fixed_point, jacobian_at, psi_fixed_seed
 from hrg.errors import DomainError, HRGError
-from hrg.geometry import distance_exponents, shell_measure
+from hrg.geometry import distance_exponents
 from hrg.rg import BlockCouplings, BulkVector, DeviationVector, bulk_step
 from hrg.wick import connection_coeff
 
 FD_H = 1e-3  # step of the Richardson second difference of the vacuum term
 FD_CHECK_RTOL = 1e-6
+CONTRACTION_WINDOW = (20, 30)  # orbit steps whose decay ratios measure_contraction averages
 
 
 class ResonanceError(HRGError):
@@ -22,6 +23,12 @@ class ResonanceError(HRGError):
 
 class SelfCheckError(HRGError):
     """Two evaluation routes disagree beyond tolerance."""
+
+
+def shell_measure(params, k):
+    """Haar measure of the shell |x| = p^k, normalized so the unit ball has mass 1."""
+    p = float(params.p)
+    return p ** (3 * k) * (1.0 - p**-3)
 
 
 def gamma_series_value(params, shell):
@@ -204,6 +211,20 @@ def deep_orbit(g, fc, params):
     return ManifoldOrbit(
         dg=np.append(dg[:s], 0.0), mu=np.append(mu[:s], v_star.mu), v_star=v_star, settle_index=s
     )
+
+
+def measure_contraction(orbit):
+    """Geometric decay ratio of the trajectory's distance to the fixed point,
+    averaged over the steps in CONTRACTION_WINDOW that the orbit stores."""
+    n_lo, n_hi = CONTRACTION_WINDOW
+    n_hi = min(n_hi, orbit.settle_index)
+    star = orbit.v_star
+    points = [orbit.point(n) for n in range(n_hi + 1)]
+    dists = [max(abs(v.delta_g - star.delta_g), abs(v.mu - star.mu)) for v in points]
+    ratios = [dists[n + 1] / dists[n] for n in range(n_lo, n_hi) if dists[n] > 0]
+    if not ratios:
+        raise DomainError("no stored orbit step off the fixed point in the sampled window")
+    return float(np.mean(ratios))
 
 
 def chained_jacobian_walk(orbit, w, fc, alpha_u):

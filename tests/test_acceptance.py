@@ -19,13 +19,11 @@ from hrg.dynamics import (
     find_fixed_point,
     jacobian_at,
     koenigs_psi,
-    measure_contraction,
     psi_fixed_seed,
-    semigroup_residuals,
     stable_orbit,
     unstable_eigenpair,
 )
-from oracles import delta_b_value, gamma_series_value, newton_fixed_point, theta_vector
+from oracles import delta_b_value, gamma_series_value, measure_contraction, newton_fixed_point, theta_vector
 
 GRID = [
     (p, l, eps)
@@ -221,8 +219,8 @@ def test_criterion_07_koenigs_properties(standard_point):
         rems.append(abs(delta_b_value(val, fc) - delta_b_value(v_star, fc) - zz * lin))
     slope = float(np.polyfit(np.log(zs), np.log(rems), 1)[0])
     assert abs(slope - 2.0) <= 0.05
-    semis = semigroup_residuals(v_star, w, fc, params)
-    semis += semigroup_residuals(stable_orbit(1.05 * fc.gbar, fc, params).point(0), w, fc, params)
+    semis = res.semigroup_residuals
+    semis += koenigs_psi(stable_orbit(1.05 * fc.gbar, fc, params).point(0), w, fc, params).semigroup_residuals
     assert max(semis) <= 1e-9
     print(
         f"criterion 07 PASS: intertwining {res.intertwine_residual:.2e} <= 1e-10; "

@@ -7,7 +7,7 @@ import pytest
 
 from hrg.covariance import c_infinity_value, c_r_value, covariance_table, free_pairing_c_inf, gamma_value
 from hrg.dynamics import find_fixed_point
-from hrg.geometry import distance_class_sizes, make_params, shell_measure
+from hrg.geometry import distance_class_sizes, make_params
 from hrg.observables import u_values
 from hrg.rg import flow_coefficients
 from oracles import (
@@ -22,6 +22,7 @@ from oracles import (
     mp_c_r,
     mp_free_pairing,
     mp_u4_total,
+    shell_measure,
     u4_scale_series,
 )
 

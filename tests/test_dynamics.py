@@ -1,8 +1,14 @@
+import io
+from collections import Counter
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hrg.dynamics
+from hrg.cli import run_command
 from hrg.covariance import covariance_table
 from hrg.errors import (
     BlowUpError,
@@ -22,9 +28,7 @@ from hrg.dynamics import (
     jacobian_at,
     koenigs_psi,
     koenigs_value,
-    measure_contraction,
     psi_fixed_seed,
-    semigroup_residuals,
     stable_orbit,
     t_infinity,
     transport_along,
@@ -35,6 +39,7 @@ from oracles import (
     bulk_step_bisection,
     deep_orbit,
     delta_b_value,
+    measure_contraction,
     newton_fixed_point,
     theta_vector,
 )
@@ -334,13 +339,13 @@ def test_koenigs_intertwining_manifold_seed(m21):
 def test_koenigs_semigroup(m21):
     params, table, fc, v_star, eig = m21
     w = BulkVector(1e-4 * eig.e_u.delta_g, 1e-4)
-    for res in semigroup_residuals(v_star, w, fc, params):
+    for res in koenigs_psi(v_star, w, fc, params).semigroup_residuals:
         assert res <= 1e-9
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
-    for res in semigroup_residuals(orbit.point(0), w, fc, params):
+    for res in koenigs_psi(orbit.point(0), w, fc, params).semigroup_residuals:
         assert res <= 1e-9
     # mixed direction at the fixed point
-    for res in semigroup_residuals(v_star, BulkVector(5e-4, 1e-4), fc, params):
+    for res in koenigs_psi(v_star, BulkVector(5e-4, 1e-4), fc, params).semigroup_residuals:
         assert res <= 1e-9
 
 
@@ -350,9 +355,36 @@ def test_koenigs_via_t_infinity(m21):
     v = orbit.point(0)
     w = BulkVector(2e-4, 1e-4)
     lhs, _ = koenigs_value(v, w, fc, params, orbit=orbit)
-    tv, _ = t_infinity(v, w, fc, params, orbit=orbit)
+    tv, _, _ = t_infinity(v, w, fc, params, orbit=orbit)
     rhs, _, _ = psi_fixed_seed(tv, fc, params, v_star=v_star)
     assert max(abs(lhs.delta_g - rhs.delta_g), abs(lhs.mu - rhs.mu)) <= 1e-8
+
+
+def test_koenigs_builds_each_orbit_quantity_once(m21, monkeypatch):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("stable_orbit", "mass_products", "psi_fixed_seed", "unstable_eigenpair", "semigroup_residuals"):
+        monkeypatch.setattr(hrg.dynamics, name, counted(name, getattr(hrg.dynamics, name)))
+    with redirect_stdout(io.StringIO()):
+        assert run_command(["koenigs"]) == 0
+    # the settled orbit at the fixed point: one row serves every shift
+    assert calls["stable_orbit"] == calls["mass_products"] == calls["psi_fixed_seed"] == 1
+    assert calls["unstable_eigenpair"] <= 2
+    # off the fixed point: one row at the seed and one at each of the three shifts
+    params, table, fc, v_star, eig = m21
+    seed = stable_orbit(1.05 * fc.gbar, fc, params).point(0)
+    calls.clear()
+    res = koenigs_psi(seed, BulkVector(2e-4, 1e-4), fc, params)
+    assert calls["semigroup_residuals"] == calls["stable_orbit"] == 1
+    assert calls["mass_products"] <= 4
+    assert max(res.semigroup_residuals) <= 1e-15
 
 
 def test_koenigs_rejects_off_manifold(m21):
@@ -363,17 +395,17 @@ def test_koenigs_rejects_off_manifold(m21):
 
 def test_t_infinity_at_fixed_point(m21):
     params, table, fc, v_star, eig = m21
-    tv, kappa = t_infinity(v_star, BulkVector(eig.e_u.delta_g, eig.e_u.mu), fc, params)
+    tv, kappa, _ = t_infinity(v_star, BulkVector(eig.e_u.delta_g, eig.e_u.mu), fc, params)
     assert kappa == pytest.approx(1.0, rel=1e-12)
     assert tv.delta_g == pytest.approx(eig.e_u.delta_g, abs=1e-12)
     # the stable eigendirection is annihilated; the bare coupling axis is
     # not an eigendirection here and keeps its unstable component
     j = eig.jacobian
     y_s = j[1, 0] / (fc.lam_g - eig.alpha_u)
-    tv, kappa = t_infinity(v_star, BulkVector(1.0, float(y_s)), fc, params)
+    tv, kappa, _ = t_infinity(v_star, BulkVector(1.0, float(y_s)), fc, params)
     assert abs(kappa) <= 1e-10
     assert abs(tv.delta_g) <= 1e-10
-    tv, kappa = t_infinity(v_star, BulkVector(1.0, 0.0), fc, params)
+    tv, kappa, _ = t_infinity(v_star, BulkVector(1.0, 0.0), fc, params)
     assert kappa == pytest.approx(-y_s, rel=1e-9)
 
 
@@ -381,7 +413,7 @@ def test_t_infinity_kappa_near_one(m21):
     params, table, fc, v_star, eig = m21
     for g_rel in (0.95, 1.05):
         orbit = stable_orbit(g_rel * fc.gbar, fc, params)
-        _, kappa = t_infinity(orbit.point(0), BulkVector(0.0, 1.0), fc, params, orbit=orbit)
+        _, kappa, _ = t_infinity(orbit.point(0), BulkVector(0.0, 1.0), fc, params, orbit=orbit)
         assert kappa != 0.0
         assert abs(kappa - 1.0) < 0.1
 

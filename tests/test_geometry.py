@@ -11,8 +11,8 @@ from hrg.geometry import (
     distance_class_sizes,
     distance_exponents,
     make_params,
-    shell_measure,
 )
+from oracles import shell_measure
 
 
 def test_make_params_examples():

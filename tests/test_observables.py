@@ -306,7 +306,7 @@ def test_xi_sequence_and_upsilon(m21):
     # at the calibrator seed the sequence is constant at the analytic limit
     assert xi_inf == pytest.approx(2.0 * fc.a5 * v_star.mu, rel=1e-10)
     orbit2 = stable_orbit(1.05 * fc.gbar, fc, params)
-    _, kappa = t_infinity(orbit2.point(0), E_PHI2, fc, params, orbit=orbit2)
+    _, kappa, _ = t_infinity(orbit2.point(0), E_PHI2, fc, params, orbit=orbit2)
     _, xi_inf2 = xi_sequence_limit(orbit2, fc, *mass_products(orbit2, fc, eig.alpha_u))
     assert xi_inf2 == pytest.approx(kappa * 2.0 * fc.a5 * v_star.mu, rel=1e-9)
 

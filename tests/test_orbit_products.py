@@ -1,7 +1,8 @@
-"""The chained-Jacobian closed forms (kappa, Xi, xi_inf, upsilon and the
-t_infinity limit) against the term-by-term walks along the uncapped
-`oracles.deep_orbit` and a deep product of kappa, over many (p, l, eps) and
-g seeds; and the Koenigs tail of kappa against both and against itself."""
+"""The chained-Jacobian closed forms (kappa, Xi, xi_inf, upsilon, the
+t_infinity limit and the conjugating map built on it) against the
+term-by-term walks along the uncapped `oracles.deep_orbit` and a deep
+product of kappa, over many (p, l, eps) and g seeds; and the Koenigs tail
+of kappa against both and against itself."""
 
 import math
 
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 from hrg.covariance import covariance_table
 from hrg.dynamics import (
     E_PHI2,
+    PSI_TOL,
     find_fixed_point,
     jacobian_at,
     kappa_tail_log,
+    koenigs_value,
     mass_products,
+    psi_fixed_seed,
     stable_orbit,
     t_infinity,
     unstable_eigenpair,
@@ -93,11 +97,44 @@ def test_products_match_chained_jacobian_walks(p, l, eps):
         assert _rel(upsilon, upsilon_sum(xis_walk, z0)) <= RTOL
 
         # a direction with a coupling part: the cross sum and its tail
-        limit, kappa_w = t_infinity(orbit.point(0), w, fc, params, orbit=orbit)
+        limit, kappa_w, _ = t_infinity(orbit.point(0), w, fc, params, orbit=orbit)
         limit_walk, kappa_w_walk = chained_jacobian_walk(deep, w, fc, alpha)
         assert _rel(kappa_w, kappa_w_walk) <= tol
         assert limit.delta_g == 0.0
         assert abs(limit_walk.delta_g) <= RTOL
+
+
+@pytest.mark.parametrize("eps", (0.01, 0.1, 0.5))
+@pytest.mark.parametrize("l", (1, 2))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_closed_form_conjugating_map_matches_walks_and_double_iteration(p, l, eps):
+    params, fc, eig = _point(p, l, eps)
+    v_star = find_fixed_point(fc, params)
+    if abs(fc.lam_g) >= 1.0:
+        with pytest.raises(DomainError):
+            koenigs_value(v_star, E_PHI2, fc, params)
+        return
+    alpha = eig.alpha_u
+    for g_rel in G_RELS[1:4]:
+        orbit = stable_orbit(g_rel * fc.gbar, fc, params)
+        deep = deep_orbit(g_rel * fc.gbar, fc, params)
+        # the walk settles on an absolute 1e-13, so it walks the unit
+        # vectors, and their row is applied to each small w
+        e_walk = chained_jacobian_walk(deep, BulkVector(1.0, 0.0), fc, alpha)[1]
+        k_walk = chained_jacobian_walk(deep, E_PHI2, fc, alpha)[1]
+        for w in (BulkVector(0.0, 1e-4), BulkVector(2e-4, 1e-4)):
+            value, _ = koenigs_value(orbit.point(0), w, fc, params, orbit=orbit)
+            assert value.delta_g == v_star.delta_g
+            # K w_mu + E w_g cancels for the second w, so the rounding
+            # scales with its terms rather than with their sum
+            scale = abs(k_walk * w.mu) + abs(e_walk * w.delta_g)
+            assert abs(value.mu - v_star.mu - (k_walk * w.mu + e_walk * w.delta_g)) <= _walk_rtol(deep) * scale
+            if g_rel == 1.0:
+                # stage n of the double iteration grows the rounding of
+                # v* + alpha_u^-n w by alpha_u^n
+                psi, n, _ = psi_fixed_seed(w, fc, params, v_star=v_star)
+                bound = PSI_TOL + 4.0 * alpha**n * math.ulp(v_star.mu)
+                assert max(abs(psi.delta_g - value.delta_g), abs(psi.mu - value.mu)) <= bound
 
 
 @pytest.mark.parametrize("eps", (1e-2, 1e-3, 3e-4, 1e-4))

@@ -23,7 +23,6 @@ PACKAGE = Path(hrg.__file__).resolve().parent
 
 PINNED = "pinned"  # bench/tracing.py wraps it, or it serves a wrapped name
 ORACLE = "oracle"  # reference code that only the tests call
-ERROR_PATH = "error path"  # runs only when a computation fails
 
 UNREACHED = {
     "mc.FieldEnsemble.batches": PINNED,
@@ -44,11 +43,9 @@ UNREACHED = {
     "rg.BlockOutput.as_array": PINNED,
     "rg.DeviationVector.as_array": PINNED,
     "cli.load_report": ORACLE,
-    "dynamics.measure_contraction": ORACLE,
     "geometry.all_boxes": ORACLE,
     "geometry._check_box": ORACLE,
     "geometry.block_distance": ORACLE,
-    "geometry.shell_measure": ORACLE,
     "rg.DeviationQuadratic.step": ORACLE,
     "rg.uv_explicit_series": ORACLE,
     "rg.cumulant_oracle": ORACLE,
@@ -62,7 +59,6 @@ UNREACHED = {
     "wick.wick_to_monomial": ORACLE,
     "wick.wick_product": ORACLE,
     "wick.scale_argument": ORACLE,
-    "errors.ConvergenceError.__init__": ERROR_PATH,
 }
 
 # stdout and stderr are dropped; each command line's exit code is kept
