@@ -30,7 +30,7 @@ import numpy as np
 from . import dynamics, mc, observables
 from .covariance import covariance_table
 from .errors import HRGError, IoError
-from .geometry import DEFAULT_BOX_BUDGET, make_params
+from .geometry import make_params
 from .rg import BulkVector, bulk_step, flow_coefficients, iterate_bulk
 
 SCHEMA_VERSION = "2"
@@ -129,8 +129,8 @@ def _emit(out, text: str):
 def _bulk_from(o):
     """Parameters, scalar covariance table and flow coefficients.  No
     command reads the block matrix, so it is not built, and nothing here
-    allocates per box, so the box count is not capped."""
-    params = make_params(o["p"], o["l"], o["eps"], None)
+    allocates per box."""
+    params = make_params(o["p"], o["l"], o["eps"])
     table = covariance_table(params)
     return params, table, flow_coefficients(table, params)
 
@@ -259,37 +259,13 @@ def _cmd_koenigs(o) -> str:
     )
 
 
-def _report_payload(report) -> dict:
-    return {
-        "eta_phi2": report.eta_phi2,
-        "u2": report.u2,
-        "u4": report.u4,
-        "uv_reduced": report.uv_reduced,
-        "ir_reduced": report.ir_reduced,
-        "two_point_normalized": report.two_point_normalized,
-        "one_point_residual": report.one_point_residual,
-        "alpha_u": report.alpha_u,
-        "mu_star": report.mu_star,
-        "gbar": report.gbar,
-        "norms": {
-            "z2": report.norms.z2,
-            "z0": report.norms.z0,
-            "upsilon": report.norms.upsilon,
-            "y0": report.norms.y0,
-            "kappa": report.norms.kappa,
-            "y2": report.norms.y2,
-        },
-        "error_bands": report.error_bands,
-    }
-
-
 def _cmd_observables(o) -> str:
     params, table, fc = _bulk_from(o)
     g_rel, g = o["g_rel"], o["g"]
     if g is None and g_rel is not None:
         g = g_rel * fc.gbar
     report = observables.full_report(params, g_seed=g, table=table, fc=fc)
-    return dump_report({"command": "observables", **_report_payload(report)})
+    return dump_report({"command": "observables", **vars(report), "norms": vars(report.norms)})
 
 
 SWEEP_COLUMNS = [
@@ -309,7 +285,7 @@ SWEEP_COLUMNS = [
 def _sweep_row(p: int, l: int, eps: float):
     """One sweep row; a domain error fills only eps and the error column."""
     try:
-        report = observables.full_report(make_params(p, l, eps, box_budget=None))
+        report = observables.full_report(make_params(p, l, eps))
     except HRGError as exc:
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";")
         return [eps] + [""] * (len(SWEEP_COLUMNS) - 2) + [msg]
@@ -339,7 +315,7 @@ def _cmd_sweep(o) -> tuple:
 
 
 def _cmd_mc(o) -> str:
-    params = make_params(o["p"], o["l"], o["eps"], DEFAULT_BOX_BUDGET)
+    params = make_params(o["p"], o["l"], o["eps"])
     r, s, n, seed, method = o["r"], o["s"], o["samples"], o["seed"], o["method"]
     ens = mc.sample_hierarchical_field(params, r, s, n, seed, method=method)
     emp, pairing = mc.validate(ens)

@@ -317,13 +317,7 @@ def _psi_stage(v: BulkVector, w: BulkVector, alpha_u: float, n: int, fc, params)
     return cur
 
 
-def psi_fixed_seed(
-    w: BulkVector,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    v_star: BulkVector,
-    alpha_u: float | None = None,
-):
+def psi_fixed_seed(w: BulkVector, fc: FlowCoefficients, params: ModelParams, v_star: BulkVector, alpha_u: float):
     """Defining double iteration seeded at the fixed point.
 
     Successive stages are compared in the Cauchy sense; once rounding of
@@ -331,8 +325,6 @@ def psi_fixed_seed(
     shrinking), or a stage leaves the BLOWUP_GUARD box, the best stage is
     returned.  Returns (value, n_used, achieved_difference).
     """
-    if alpha_u is None:
-        alpha_u = unstable_eigenpair(jacobian_at(v_star, fc)).alpha_u
     prev = None
     best = None
     best_diff = np.inf
@@ -373,21 +365,12 @@ def transport_along(
     return BulkVector(y_g, y_mu)
 
 
-def koenigs_value(
-    v: BulkVector,
-    w: BulkVector,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    orbit: ManifoldOrbit | None = None,
-    alpha_u: float | None = None,
-):
-    """Conjugating map psi(v, w) = v* + (0, kappa) in closed form, with
-    kappa = ell . w the `t_infinity` limit of w along the orbit through v:
-    at the fixed point the double iteration multiplies a mass deviation by
-    exactly alpha_u at each step.  Returns (value, row ell)."""
-    if orbit is None:
-        orbit = orbit_for_seed(v, fc, params)
-    _, kappa, row = t_infinity(v, w, fc, params, orbit=orbit, alpha_u=alpha_u)
+def koenigs_value(orbit: ManifoldOrbit, w: BulkVector, fc: FlowCoefficients, alpha_u: float):
+    """Conjugating map psi(v, w) = v* + (0, kappa) in closed form at the
+    start v of the orbit, with kappa = ell . w the `t_infinity` limit of w
+    along it: at the fixed point the double iteration multiplies a mass
+    deviation by exactly alpha_u at each step.  Returns (value, row ell)."""
+    _, kappa, row = t_infinity(orbit, w, fc, alpha_u)
     return BulkVector(orbit.v_star.delta_g, orbit.v_star.mu + kappa), row
 
 
@@ -403,20 +386,20 @@ def koenigs_psi(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: Mode
     """
     orbit = orbit_for_seed(v, fc, params)
     alpha = unstable_eigenpair(jacobian_at(orbit.v_star, fc)).alpha_u
-    value, row = koenigs_value(v, w, fc, params, orbit=orbit, alpha_u=alpha)
+    value, row = koenigs_value(orbit, w, fc, alpha)
     base = orbit.v_star
     shrunk = BulkVector(base.delta_g, base.mu + _apply(row, BulkVector(w.delta_g / alpha, w.mu / alpha)))
     half_mu = base.mu + _apply(row, BulkVector(0.5 * w.delta_g, 0.5 * w.mu))
     wnorm = max(abs(w.delta_g), abs(w.mu))
     quad = 2.0 * abs(value.mu - 2.0 * half_mu + base.mu) / wnorm**2 if wnorm > 0 else 0.0
-    fixed, n_used, _ = psi_fixed_seed(BulkVector(0.0, _apply(row, w)), fc, params, v_star=base, alpha_u=alpha)
+    fixed, n_used, _ = psi_fixed_seed(BulkVector(0.0, _apply(row, w)), fc, params, base, alpha)
     return KoenigsResult(
         value=value,
         n_used=n_used,
         intertwine_residual=_diff(bulk_step(shrunk, fc, params)[0], value),
         quadratic_coeff_estimate=quad,
         double_iteration_residual=_diff(fixed, value),
-        semigroup_residuals=semigroup_residuals(orbit, w, fc, params, alpha, row),
+        semigroup_residuals=semigroup_residuals(orbit, w, fc, alpha, row),
     )
 
 
@@ -494,15 +477,8 @@ def _apply(row: tuple, w: BulkVector) -> float:
     return k * w.mu if w.delta_g == 0.0 else k * w.mu + e * w.delta_g
 
 
-def t_infinity(
-    v: BulkVector,
-    w: BulkVector,
-    fc: FlowCoefficients,
-    params: ModelParams,
-    orbit: ManifoldOrbit | None = None,
-    alpha_u: float | None = None,
-) -> tuple:
-    """Limit of alpha_u^-n DF^n(v) w along the orbit of v.
+def t_infinity(orbit: ManifoldOrbit, w: BulkVector, fc: FlowCoefficients, alpha_u: float) -> tuple:
+    """Limit of alpha_u^-n DF^n(v) w along the orbit from v = orbit.point(0).
 
     Returns (limit vector, kappa, row): the limit is kappa (0, 1), and the
     row (E, K) gives kappa = K w_mu + E w_g.  With P and P_inf from
@@ -514,10 +490,6 @@ def t_infinity(
     already far below the rounding of the sum.  E is None, and not summed,
     for a w with no coupling part.
     """
-    if orbit is None:
-        orbit = orbit_for_seed(v, fc, params)
-    if alpha_u is None:
-        alpha_u = unstable_eigenpair(jacobian_at(orbit.v_star, fc)).alpha_u
     products, p_inf = mass_products(orbit, fc, alpha_u)
     e = None
     if w.delta_g != 0.0:
@@ -530,7 +502,7 @@ def t_infinity(
     return BulkVector(0.0, kappa), kappa, (e, p_inf)
 
 
-def semigroup_residuals(orbit: ManifoldOrbit, w: BulkVector, fc, params, alpha_u: float, row: tuple) -> list:
+def semigroup_residuals(orbit: ManifoldOrbit, w: BulkVector, fc, alpha_u: float, row: tuple) -> list:
     """Residuals of the conjugation semigroup identity
     psi(v_0, w) = psi(v_q, alpha_u^-q DF^q(v_0) w) at SEMIGROUP_SHIFTS: the
     `t_infinity` row at each distinct orbit start, applied to the
@@ -541,6 +513,6 @@ def semigroup_residuals(orbit: ManifoldOrbit, w: BulkVector, fc, params, alpha_u
         k = min(q, orbit.settle_index)  # a settled orbit stays at its last point, where one row serves
         if k not in rows:
             shifted = ManifoldOrbit(orbit.dg[k:], orbit.mu[k:], orbit.v_star, orbit.settle_index - k)
-            rows[k] = t_infinity(orbit.point(k), w, fc, params, orbit=shifted, alpha_u=alpha_u)[2]
+            rows[k] = t_infinity(shifted, w, fc, alpha_u)[2]
         out.append(abs(_apply(rows[k], transport_along(orbit, w, fc, alpha_u, q)) - _apply(row, w)))
     return out

@@ -14,7 +14,7 @@ class EpsRangeError(HRGError):
 
 
 class BoxBudgetError(HRGError):
-    """Requested block enumeration exceeds the configured box budget."""
+    """Box count p^(3l) exceeds the float range."""
 
 
 class BoxIndexError(HRGError):

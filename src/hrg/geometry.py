@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import BoxBudgetError, BoxIndexError, EpsRangeError, NonPrimeError
 
-DEFAULT_BOX_BUDGET = 4096
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -61,10 +59,10 @@ class ModelParams:
         return float(self.L) ** ((3.0 + self.eps) / 2.0)
 
 
-def make_params(p: int, l: int, eps: float, box_budget: int | None = DEFAULT_BOX_BUDGET) -> ModelParams:
+def make_params(p: int, l: int, eps: float) -> ModelParams:
     """Validate and build ModelParams; L and the field dimension are derived.
-    A box_budget of None puts no cap on the box count p^(3l), which must
-    still be a finite float: the covariance moments weigh class sizes."""
+    The box count p^(3l) has no cap but must be a finite float: the
+    covariance moments weigh class sizes."""
     if not is_prime(p):
         raise NonPrimeError(f"p={p} is not prime")
     if l < 1:
@@ -73,8 +71,6 @@ def make_params(p: int, l: int, eps: float, box_budget: int | None = DEFAULT_BOX
         raise EpsRangeError(f"eps={eps} outside (0, 1]")
     if 3 * l * math.log2(p) >= 1024 or p ** (3 * l) > sys.float_info.max:
         raise BoxBudgetError(f"p^(3l)={p}^{3 * l} boxes exceed the float range")
-    if box_budget is not None and p ** (3 * l) > box_budget:
-        raise BoxBudgetError(f"p^(3l)={p**(3*l)} exceeds box budget {box_budget}")
     L = p**l
     return ModelParams(p=p, l=l, eps=float(eps), L=L, phi_dim=(3.0 - eps) / 4.0)
 

@@ -117,13 +117,7 @@ def phi2_uv_reduced(fc: FlowCoefficients, eig: EigenData, params: ModelParams) -
 MASS = 2  # slot of beta2 among the point couplings: e_u = (0, 1) seeds the deviation orbit there
 
 
-def phi2_ir_reduced(
-    fc: FlowCoefficients,
-    table: CovarianceTable,
-    params: ModelParams,
-    v_star: BulkVector,
-    dq: DeviationQuadratic | None = None,
-) -> IRSeriesResult:
+def phi2_ir_reduced(dq: DeviationQuadratic) -> IRSeriesResult:
     """Infrared piece: second z-derivatives of the vacuum output along the
     deviation orbit seeded with the point restriction of the conjugated
     unstable line, summed over all iterations in closed form.
@@ -135,8 +129,6 @@ def phi2_ir_reduced(
     M e_2 = m22 e_2, so a_q = m22^q e_2 and A = sum a_q a_q^T is
     e_2 e_2^T / (1 - m22^2); then sum b_q = (I - M)^-1 Q(A).
     """
-    if dq is None:
-        dq = deviation_quadratic(v_star, fc, table, params)
     radius = dq.spectral_radius()
     if radius >= 1.0:
         raise ContractionError(f"deviation flow not contracting: spectral radius {radius}")
@@ -233,7 +225,7 @@ def full_report(
     u2, u4 = u_values(params, table, fc, v_star)
     uv = phi2_uv_reduced(fc, eig, params)
     dq = deviation_quadratic(v_star, fc, table, params)
-    ir = phi2_ir_reduced(fc, table, params, v_star, dq=dq)
+    ir = phi2_ir_reduced(dq)
     reduced_sum = uv + ir.value
     products, kappa = mass_products(orbit, fc, eig.alpha_u)
     if kappa == 0.0:

@@ -230,13 +230,13 @@ def measure_contraction(orbit):
 def chained_jacobian_walk(orbit, w, fc, alpha_u):
     """alpha_u^-n DF^n(v) w along a settled orbit such as `deep_orbit`, by
     walking y <- J(v_n) y / alpha_u one 2x2 product a step, until successive
-    iterates past its settle index agree to 1e-13.  Returns (limit vector,
-    its mu-component)."""
+    iterates past its settle index agree to 1e-13 of |y|, at any scale of w.
+    Returns (limit vector, its mu-component)."""
     y = np.array([w.delta_g, w.mu])
     prev = y.copy()
     for n in range(1, orbit.settle_index + 400):
         y = (jacobian_at(orbit.point(n - 1), fc) @ y) / alpha_u
-        settled = np.max(np.abs(y - prev)) < 1e-13 * max(1.0, float(np.max(np.abs(y))))
+        settled = np.max(np.abs(y - prev)) <= 1e-13 * np.max(np.abs(y))
         if n > max(2, orbit.settle_index) and settled:
             return BulkVector(float(y[0]), float(y[1])), float(y[1])
         prev = y.copy()
@@ -367,7 +367,7 @@ def psi_vacuum_second_derivative(fc, eig, v_star, params):
         if z == 0.0:
             return delta_b_value(v_star, fc)
         w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
-        psi, _, _ = psi_fixed_seed(w, fc, params, v_star=v_star)
+        psi, _, _ = psi_fixed_seed(w, fc, params, v_star, eig.alpha_u)
         return delta_b_value(psi, fc)
 
     def second(hh):

@@ -12,7 +12,7 @@ from hrg.errors import DomainError
 from hrg.geometry import distance_class_sizes, make_params
 from hrg.mc import sample_hierarchical_field, validate
 from hrg.observables import eta_phi2, full_report, phi2_ir_reduced, phi2_uv_reduced, u_values
-from hrg.rg import BulkVector, cumulant_oracle, flow_coefficients
+from hrg.rg import BulkVector, cumulant_oracle, deviation_quadratic, flow_coefficients
 from hrg.wick import WickPoly, connection_coeff, monomial_to_wick, wick_product, wick_to_monomial
 from hrg.dynamics import (
     critical_mass,
@@ -34,7 +34,7 @@ GRID = [
 
 
 def _params(p, l, eps):
-    return make_params(p, l, eps, box_budget=20000)
+    return make_params(p, l, eps)
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +171,7 @@ def test_eta_closed_form():
     for p in (2, 3, 5, 7):
         for l in (1, 2):
             for eps in (0.01, 0.1, 0.5):
-                params = make_params(p, l, eps, box_budget=200_000)
+                params = make_params(p, l, eps)
                 L = float(params.L)
                 closed = -2.0 * np.log((2.0 + L**-eps) / 3.0) / np.log(L)
                 fc = flow_coefficients(covariance_table(params), params)
@@ -204,7 +204,7 @@ def test_criterion_07_koenigs_properties(standard_point):
     # scale (in truncation mode it collapses to the rounding floor)
     for zz in np.logspace(-4, -2.5, 4):
         ww = BulkVector(zz * eig.e_u.delta_g, zz * eig.e_u.mu)
-        val, _, _ = psi_fixed_seed(ww, fc, params, v_star=v_star)
+        val, _, _ = psi_fixed_seed(ww, fc, params, v_star, eig.alpha_u)
         rem = max(abs(val.delta_g - v_star.delta_g - ww.delta_g), abs(val.mu - v_star.mu - ww.mu))
         assert rem <= 17.0 / 8.0 * zz**2 + 1e-12
     # slope 2 carried by the vacuum composition, whose quadratic term is
@@ -215,7 +215,7 @@ def test_criterion_07_koenigs_properties(standard_point):
     zs = np.logspace(-4, -3, 5)
     rems = []
     for zz in zs:
-        val, _, _ = psi_fixed_seed(BulkVector(zz * e[0], zz * e[1]), fc, params, v_star=v_star)
+        val, _, _ = psi_fixed_seed(BulkVector(zz * e[0], zz * e[1]), fc, params, v_star, eig.alpha_u)
         rems.append(abs(delta_b_value(val, fc) - delta_b_value(v_star, fc) - zz * lin))
     slope = float(np.polyfit(np.log(zs), np.log(rems), 1)[0])
     assert abs(slope - 2.0) <= 0.05
@@ -263,7 +263,7 @@ def test_criterion_09_two_point_blowup():
         t = covariance_table(mp)
         f = flow_coefficients(t, mp)
         v = find_fixed_point(f, mp)
-        irs[eps] = phi2_ir_reduced(f, t, mp, v).value
+        irs[eps] = phi2_ir_reduced(deviation_quadratic(v, f, t, mp)).value
     ratio = irs[0.02] / irs[0.1]
     assert 0.5 <= ratio <= 2.0
     print(

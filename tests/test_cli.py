@@ -576,8 +576,9 @@ def test_flow_non_finite_seed_blows_up(seed):
 
 
 def test_bulk_commands_run_past_the_box_budget():
-    # 15625 boxes: the bulk flow and the report allocate nothing per box, so
-    # only mc, whose batches hold 4096 samples per box, keeps the 4096-box budget
+    # 15625 boxes: the bulk flow and the report allocate nothing per box;
+    # mc takes any l too, and refuses only its sampling volume p^(3(s-r)),
+    # here 5^6 = 15625 boxes at the default r = -1, s = 1
     point = ["--p", "5", "--l", "2", "--eps", "0.1"]
     for argv in (["coeffs"], ["fixed-point"], ["linearize"], ["flow", "--steps", "5"], ["koenigs"]):
         rc, out, err = run(argv + point)
@@ -591,7 +592,7 @@ def test_bulk_commands_run_past_the_box_budget():
     assert abs(load_report(out)["two_point_normalized"] - 1.0) <= 1e-10
     rc, out, err = run(["sweep", "--p", "5", "--l", "2", "--eps-list", "0.1"])
     assert rc == 0 and err == "" and out.strip().split("\n")[1].endswith(",")
-    _assert_domain_error(*run(["mc"] + point + ["--samples", "10"]), "BoxBudgetError")
+    _assert_domain_error(*run(["mc"] + point + ["--samples", "10"]), "VolumeError")
     # past the float range the box count is refused, not overflowed
     _assert_domain_error(*run(["coeffs", "--p", "2", "--l", "342"]), "BoxBudgetError")
     assert run(["coeffs", "--p", "2", "--l", "341"])[0] == 0
@@ -615,12 +616,31 @@ def test_every_bulk_command_keeps_its_exit_code_at_large_volume(point, koenigs_c
             assert err == "" and load_report(out)["command"] == command, argv
 
 
+def test_mc_does_not_read_l():
+    # the sampler reads p and phi only, and c_r_value ignores l at r = 0, so
+    # l changes no byte of the report, and a large l is not refused
+    argv = ["mc", "--p", "2", "--eps", "0.1", "--r", "-1", "--s", "1", "--samples", "2000", "--seed", "3"]
+    outputs = {run(argv + ["--l", l]) for l in ("1", "2", "5")}
+    assert len(outputs) == 1
+    rc, out, err = outputs.pop()
+    assert rc == 0 and err == "" and load_report(out)["command"] == "mc"
+
+
 def test_readme_key_lists_match_the_reports():
+    # every key a report prints, nested ones listed as name{a,b} too, has
+    # its entry in the README
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    for command in ("fixed-point", "linearize", "critical-mass", "koenigs"):
+    commands = {"fixed-point": [], "linearize": [], "critical-mass": [], "koenigs": [], "observables": [],
+                "mc": ["--samples", "2000"]}
+    for command, extra in commands.items():
         listed = re.search(rf"^- `{command}` \(JSON\): `([^`]*)`", readme, re.MULTILINE)
         assert listed, command
-        rc, out, _ = run([command])
+        nested = re.findall(r"(\w+)\{([^}]*)\}", listed.group(1))
+        top = re.sub(r"\{[^}]*\}", "", listed.group(1))
+        rc, out, _ = run([command] + extra)
         assert rc == 0
-        keys = set(load_report(out)) - {"command", "schema_version"}
-        assert sorted(k.strip() for k in listed.group(1).split(",")) == sorted(keys), command
+        report = load_report(out)
+        keys = set(report) - {"command", "schema_version"}
+        assert sorted(k.strip() for k in top.split(",")) == sorted(keys), command
+        for name, inner in nested:
+            assert sorted(k.strip() for k in inner.split(",")) == sorted(report[name]), (command, name)

@@ -35,7 +35,7 @@ GRID = [
 
 
 def _params(p, l, eps):
-    return make_params(p, l, eps, box_budget=20000)
+    return make_params(p, l, eps)
 
 
 def test_gamma_examples():
@@ -195,7 +195,7 @@ def _ulps(got, want):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
 def test_closed_forms_within_4_ulp_of_50_digit_series(p):
     for l, eps in itertools.product((1, 2, 3, 4), CLOSED_FORM_EPS):
-        params = make_params(p, l, eps, box_budget=None)
+        params = make_params(p, l, eps)
         shells = list(range(-2, 3 * l + 2))
         for r in (-2, -1, 0, 1):
             for shell, want in zip(shells, mp_c_r(params, r, shells)):
@@ -216,7 +216,7 @@ def test_closed_forms_match_the_summed_series_within_their_stop_rules(p):
     # each series stops on a tolerance; its truncated tail is bounded by the
     # stop rule, and its rounding by 8 ulp of the value
     for l, eps in itertools.product((1, 2, 3, 4), CLOSED_FORM_EPS):
-        params = make_params(p, l, eps, box_budget=None)
+        params = make_params(p, l, eps)
         x = float(p) ** (-2.0 * params.phi_dim)
         for r in (-2, -1, 0, 1):
             for shell in range(-2, 3 * l + 2):

@@ -77,7 +77,7 @@ def test_closed_forms_across_parameter_space(p, l, eps, g_rel):
     # each closed form against a route that shares none of its code: Newton
     # for the fixed point, LAPACK for the eigenpair, the exact eigenvalue in
     # L and eps, and bisection on the escape side for the critical mass
-    params = make_params(p, l, eps, box_budget=10**12)
+    params = make_params(p, l, eps)
     fc = flow_coefficients(covariance_table(params), params)
     v_star = find_fixed_point(fc, params)
     newton = newton_fixed_point(fc, params)
@@ -204,7 +204,7 @@ def test_orbit_stores_its_depth_and_no_further(m21):
 
 def test_contraction_window_stays_inside_the_stored_orbit():
     # at (11,3,0.1) the orbit stores 8 steps, short of CONTRACTION_WINDOW
-    params = make_params(11, 3, 0.1, box_budget=None)
+    params = make_params(11, 3, 0.1)
     fc = flow_coefficients(covariance_table(params), params)
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
     assert orbit.settle_index == 8
@@ -218,7 +218,7 @@ def test_stable_orbit_takes_no_more_than_80_steps():
     for p in (2, 3, 5, 7, 11):
         for l in (1, 2, 3):
             for eps in (1e-6, 1e-3, 0.1, 0.5, 1.0):
-                params = make_params(p, l, eps, box_budget=None)
+                params = make_params(p, l, eps)
                 fc = flow_coefficients(covariance_table(params), params)
                 if abs(fc.lam_g) < 1.0:
                     depths.append(stable_orbit(1.05 * fc.gbar, fc, params).settle_index)
@@ -232,7 +232,7 @@ def test_sequence_mass_is_bit_identical_to_the_deep_orbit(p):
     compared = 0
     for l in (1, 2, 3):
         for eps in (1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0):
-            params = make_params(p, l, eps, box_budget=None)
+            params = make_params(p, l, eps)
             fc = flow_coefficients(covariance_table(params), params)
             if abs(fc.lam_g) >= 1.0:
                 continue
@@ -265,10 +265,10 @@ def test_dichotomy_diagnostic(m21):
 def test_koenigs_basics(m21):
     params, table, fc, v_star, eig = m21
     # zero argument reproduces the orbit limit
-    val, _ = koenigs_value(v_star, BulkVector(0.0, 0.0), fc, params)
+    val, _ = koenigs_value(stable_orbit(fc.gbar, fc, params), BulkVector(0.0, 0.0), fc, eig.alpha_u)
     assert max(abs(val.delta_g - v_star.delta_g), abs(val.mu - v_star.mu)) <= 1e-13
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
-    val, _ = koenigs_value(orbit.point(0), BulkVector(0.0, 0.0), fc, params, orbit=orbit)
+    val, _ = koenigs_value(orbit, BulkVector(0.0, 0.0), fc, eig.alpha_u)
     assert max(abs(val.delta_g - v_star.delta_g), abs(val.mu - v_star.mu)) <= 1e-12
 
 
@@ -286,9 +286,10 @@ def test_koenigs_intertwining_and_affinity(m21):
 
 def test_koenigs_quadratic_envelope(m21):
     params, table, fc, v_star, eig = m21
+    at_star = stable_orbit(fc.gbar, fc, params)
     for z in np.logspace(-4, -2.5, 4):
         w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
-        val, _ = koenigs_value(v_star, w, fc, params)
+        val, _ = koenigs_value(at_star, w, fc, eig.alpha_u)
         rem = max(abs(val.delta_g - v_star.delta_g - w.delta_g), abs(val.mu - v_star.mu - w.mu))
         assert rem <= 17.0 / 8.0 * z**2 + 1e-12
 
@@ -305,8 +306,9 @@ def test_koenigs_identity_differential_general_direction(m21):
     assert np.allclose(proj @ np.array([eig.e_u.delta_g, eig.e_u.mu]), [0.0, 1.0], atol=1e-12)
     wdir = np.array([1.0, 0.7])
     pw = proj @ wdir
+    at_star = stable_orbit(fc.gbar, fc, params)
     for z in (1e-3, 1e-4):
-        val, _ = koenigs_value(v_star, BulkVector(z * wdir[0], z * wdir[1]), fc, params)
+        val, _ = koenigs_value(at_star, BulkVector(z * wdir[0], z * wdir[1]), fc, eig.alpha_u)
         rem = max(abs(val.delta_g - v_star.delta_g - z * pw[0]), abs(val.mu - v_star.mu - z * pw[1]))
         assert rem <= 17.0 / 8.0 * (z * np.max(np.abs(wdir))) ** 2 + 1e-10
 
@@ -321,7 +323,7 @@ def test_vacuum_composition_slope_two(m21):
     zs = np.logspace(-4, -3, 5)
     rems = []
     for z in zs:
-        val, _, _ = psi_fixed_seed(BulkVector(z * e[0], z * e[1]), fc, params, v_star=v_star)
+        val, _, _ = psi_fixed_seed(BulkVector(z * e[0], z * e[1]), fc, params, v_star, eig.alpha_u)
         rems.append(abs(delta_b_value(val, fc) - delta_b_value(v_star, fc) - z * lin))
     slope = np.polyfit(np.log(zs), np.log(rems), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
@@ -354,9 +356,9 @@ def test_koenigs_via_t_infinity(m21):
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
     v = orbit.point(0)
     w = BulkVector(2e-4, 1e-4)
-    lhs, _ = koenigs_value(v, w, fc, params, orbit=orbit)
-    tv, _, _ = t_infinity(v, w, fc, params, orbit=orbit)
-    rhs, _, _ = psi_fixed_seed(tv, fc, params, v_star=v_star)
+    lhs, _ = koenigs_value(orbit, w, fc, eig.alpha_u)
+    tv, _, _ = t_infinity(orbit, w, fc, eig.alpha_u)
+    rhs, _, _ = psi_fixed_seed(tv, fc, params, v_star, eig.alpha_u)
     assert max(abs(lhs.delta_g - rhs.delta_g), abs(lhs.mu - rhs.mu)) <= 1e-8
 
 
@@ -395,17 +397,18 @@ def test_koenigs_rejects_off_manifold(m21):
 
 def test_t_infinity_at_fixed_point(m21):
     params, table, fc, v_star, eig = m21
-    tv, kappa, _ = t_infinity(v_star, BulkVector(eig.e_u.delta_g, eig.e_u.mu), fc, params)
+    at_star = stable_orbit(fc.gbar, fc, params)
+    tv, kappa, _ = t_infinity(at_star, BulkVector(eig.e_u.delta_g, eig.e_u.mu), fc, eig.alpha_u)
     assert kappa == pytest.approx(1.0, rel=1e-12)
     assert tv.delta_g == pytest.approx(eig.e_u.delta_g, abs=1e-12)
     # the stable eigendirection is annihilated; the bare coupling axis is
     # not an eigendirection here and keeps its unstable component
     j = eig.jacobian
     y_s = j[1, 0] / (fc.lam_g - eig.alpha_u)
-    tv, kappa, _ = t_infinity(v_star, BulkVector(1.0, float(y_s)), fc, params)
+    tv, kappa, _ = t_infinity(at_star, BulkVector(1.0, float(y_s)), fc, eig.alpha_u)
     assert abs(kappa) <= 1e-10
     assert abs(tv.delta_g) <= 1e-10
-    tv, kappa, _ = t_infinity(v_star, BulkVector(1.0, 0.0), fc, params)
+    tv, kappa, _ = t_infinity(at_star, BulkVector(1.0, 0.0), fc, eig.alpha_u)
     assert kappa == pytest.approx(-y_s, rel=1e-9)
 
 
@@ -413,7 +416,7 @@ def test_t_infinity_kappa_near_one(m21):
     params, table, fc, v_star, eig = m21
     for g_rel in (0.95, 1.05):
         orbit = stable_orbit(g_rel * fc.gbar, fc, params)
-        _, kappa, _ = t_infinity(orbit.point(0), BulkVector(0.0, 1.0), fc, params, orbit=orbit)
+        _, kappa, _ = t_infinity(orbit, BulkVector(0.0, 1.0), fc, eig.alpha_u)
         assert kappa != 0.0
         assert abs(kappa - 1.0) < 0.1
 
@@ -437,8 +440,8 @@ def test_theta_vanishes_in_truncation(m21):
     assert abs(th.mu) <= 1e-12
     # second difference of the conjugating map along the unstable line
     h = 1e-3
-    up, _, _ = psi_fixed_seed(BulkVector(h * eig.e_u.delta_g, h), fc, params, v_star=v_star)
-    dn, _, _ = psi_fixed_seed(BulkVector(-h * eig.e_u.delta_g, -h), fc, params, v_star=v_star)
+    up, _, _ = psi_fixed_seed(BulkVector(h * eig.e_u.delta_g, h), fc, params, v_star, eig.alpha_u)
+    dn, _, _ = psi_fixed_seed(BulkVector(-h * eig.e_u.delta_g, -h), fc, params, v_star, eig.alpha_u)
     fd = np.array(
         [up.delta_g - 2 * v_star.delta_g + dn.delta_g, up.mu - 2 * v_star.mu + dn.mu]
     ) / (2 * h**2)
@@ -531,7 +534,7 @@ def test_mass_only_bisection_is_bit_identical_to_bulk_steps(p):
     raised = 0
     for l in (1, 2, 3):
         for eps in (1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0):
-            params = make_params(p, l, eps, box_budget=None)
+            params = make_params(p, l, eps)
             fc = flow_coefficients(covariance_table(params), params)
             for k in range(11):
                 delta_g0 = (0.5 + 0.1 * k) * fc.gbar - fc.gbar

@@ -41,10 +41,12 @@ def test_make_params_rejects_bad_input():
         make_params(2, 1, 0.0)
     with pytest.raises(EpsRangeError):
         make_params(2, 1, 1.5)
+    # past the float range the box count is refused, not overflowed
     with pytest.raises(BoxBudgetError):
-        make_params(5, 2, 0.1)  # 15625 boxes over the default budget
-    # explicit budget admits it
-    assert make_params(5, 2, 0.1, box_budget=20000).n_boxes == 15625
+        make_params(2, 342, 0.1)
+    assert make_params(2, 341, 0.1).n_boxes == 2**1023
+    # any finite box count is admitted
+    assert make_params(5, 2, 0.1).n_boxes == 15625
 
 
 def test_shell_measure_examples():

@@ -163,7 +163,7 @@ def _richardson_ir_oracle(fc, eig, table, params, v_star, h=1e-3, rtol=1e-12, q_
 
     def vacuum_series(z):
         w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
-        psi, _, _ = psi_fixed_seed(w, fc, params, v_star=v_star)
+        psi, _, _ = psi_fixed_seed(w, fc, params, v_star, eig.alpha_u)
         dv = DeviationVector(beta4_dot=psi.delta_g - v_star.delta_g, beta2_dot=psi.mu - v_star.mu)
         out = []
         for _ in range(q_block):
@@ -193,7 +193,7 @@ def test_ir_reduced_matches_richardson_oracle(point):
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    ir = phi2_ir_reduced(fc, table, params, v_star)
+    ir = phi2_ir_reduced(deviation_quadratic(v_star, fc, table, params))
     assert isinstance(ir, IRSeriesResult)
     assert ir.solve_residual < 1e-13
     assert ir.n_terms == 1
@@ -216,13 +216,13 @@ def test_ir_closed_forms_match_stein_route():
     # where eps is too large for the stable orbit of a report)
     unit = NormalizationSet(z2=0.0, z0=0.0, upsilon=0.0, y0=0.0, kappa=1.0, y2=1.0)
     for point in STEIN_POINTS:
-        params = make_params(*point, box_budget=None)
+        params = make_params(*point)
         table = covariance_table(params)
         fc = flow_coefficients(table, params)
         v_star = find_fixed_point(fc, params)
         dq = deviation_quadratic(v_star, fc, table, params)
         e_u = unstable_eigenpair(jacobian_at(v_star, fc)).e_u
-        ir = phi2_ir_reduced(fc, table, params, v_star, dq=dq).value
+        ir = phi2_ir_reduced(dq).value
         stein = stein_ir_reduced(dq, e_u)
         assert abs(ir - stein) <= 4e-16 * abs(stein), point
         ir_part = one_point_residual(dq, params, 0.0, unit)  # xi_inf = 0 drops the UV part
@@ -238,12 +238,12 @@ ULP_POINTS += [(p, l, eps) for p in (2, 3, 5, 7, 11) for l in (1, 2, 3) for eps 
 def test_ir_reduced_within_2_ulp_of_50_digit_value(point):
     # the forward substitution through the triangular (I - M) against the
     # 50-digit LU solve of the closed form from the same float M, q, c and r
-    params = make_params(*point, box_budget=None)
+    params = make_params(*point)
     table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
     dq = deviation_quadratic(v_star, fc, table, params)
-    ir = phi2_ir_reduced(fc, table, params, v_star, dq=dq)
+    ir = phi2_ir_reduced(dq)
     exact = mp_ir_reduced(dq)
     assert abs(ir.value - exact) <= 2.0 * np.spacing(abs(float(exact)))
     assert ir.solve_residual < 1e-15
@@ -273,7 +273,7 @@ def test_full_report_properties(p, l, eps, g_rel):
     # every draw is either refused with DomainError or gives a normalized
     # report with a vanishing one-point residual, the closed-form eta, and
     # seed-independent physical outputs
-    params = make_params(p, l, eps, box_budget=None)
+    params = make_params(p, l, eps)
     try:
         base = full_report(params)
         r = full_report(params, g_seed=g_rel * base.gbar)
@@ -294,7 +294,7 @@ def test_ir_reduced_bounded_in_eps():
         table = covariance_table(params)
         fc = flow_coefficients(table, params)
         v_star = find_fixed_point(fc, params)
-        vals[eps] = phi2_ir_reduced(fc, table, params, v_star).value
+        vals[eps] = phi2_ir_reduced(deviation_quadratic(v_star, fc, table, params)).value
     ratio = vals[0.02] / vals[0.1]
     assert 0.5 < ratio < 2.0
 
@@ -306,7 +306,7 @@ def test_xi_sequence_and_upsilon(m21):
     # at the calibrator seed the sequence is constant at the analytic limit
     assert xi_inf == pytest.approx(2.0 * fc.a5 * v_star.mu, rel=1e-10)
     orbit2 = stable_orbit(1.05 * fc.gbar, fc, params)
-    _, kappa, _ = t_infinity(orbit2.point(0), E_PHI2, fc, params, orbit=orbit2)
+    _, kappa, _ = t_infinity(orbit2, E_PHI2, fc, eig.alpha_u)
     _, xi_inf2 = xi_sequence_limit(orbit2, fc, *mass_products(orbit2, fc, eig.alpha_u))
     assert xi_inf2 == pytest.approx(kappa * 2.0 * fc.a5 * v_star.mu, rel=1e-9)
 
@@ -390,7 +390,7 @@ UV_GRID = [(p, l, eps) for p in (2, 3, 5, 7) for l in (1, 2) for eps in (0.01, 0
 
 
 def _bulk_point(p, l, eps):
-    params = make_params(p, l, eps, box_budget=None)
+    params = make_params(p, l, eps)
     fc = flow_coefficients(covariance_table(params), params)
     v_star = find_fixed_point(fc, params)
     return params, fc, v_star, unstable_eigenpair(jacobian_at(v_star, fc))
@@ -421,7 +421,7 @@ def test_closed_form_step_matches_deviation_step(point):
     p, l = point
     probe = np.linspace(1.0, -0.5, 6)
     for eps in (0.05, 0.1, 0.3):
-        params = make_params(p, l, eps, box_budget=None)
+        params = make_params(p, l, eps)
         table = covariance_table(params)
         fc = flow_coefficients(table, params)
         v_star = find_fixed_point(fc, params)
@@ -452,7 +452,7 @@ def test_uv_series_assembly_matches_direct_sum(m21):
 
         def f(z):
             w = BulkVector(scale * z * eig.e_u.delta_g, scale * z * eig.e_u.mu)
-            val, _, _ = psi_fixed_seed(w, fc, params, v_star=v_star)
+            val, _, _ = psi_fixed_seed(w, fc, params, v_star, eig.alpha_u)
             return delta_b_value(val, fc)
 
         d2 = (f(h) - 2.0 * f(0.0) + f(-h)) / h**2
@@ -486,7 +486,7 @@ def test_full_report_needs_no_block_matrix(point, monkeypatch):
 
     monkeypatch.setattr(hrg.observables, "covariance_table", recording_table)
     monkeypatch.setattr(hrg.rg, "block_step", counting_step)
-    params = make_params(*point, box_budget=None)
+    params = make_params(*point)
     tracemalloc.start()
     try:
         report = full_report(params)
@@ -507,4 +507,4 @@ def test_ir_reduced_contraction_guard(m21):
     # deviation flow; the guard must refuse rather than sum a divergent series
     far = BulkVector(1.0, 0.0)
     with pytest.raises(ContractionError):
-        phi2_ir_reduced(fc, table, params, far)
+        phi2_ir_reduced(deviation_quadratic(far, fc, table, params))

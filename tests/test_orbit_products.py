@@ -18,6 +18,7 @@ from hrg.dynamics import (
     find_fixed_point,
     jacobian_at,
     kappa_tail_log,
+    koenigs_psi,
     koenigs_value,
     mass_products,
     psi_fixed_seed,
@@ -45,7 +46,7 @@ def _walk_rtol(orbit):
 
 
 def _point(p, l, eps):
-    params = make_params(p, l, eps, box_budget=None)
+    params = make_params(p, l, eps)
     fc = flow_coefficients(covariance_table(params), params)
     eig = unstable_eigenpair(jacobian_at(find_fixed_point(fc, params), fc))
     return params, fc, eig
@@ -81,7 +82,7 @@ def test_products_match_chained_jacobian_walks(p, l, eps):
         tol = _walk_rtol(deep)
         _, kappa_walk = chained_jacobian_walk(deep, E_PHI2, fc, alpha)
         assert _rel(kappa, kappa_walk) <= tol
-        assert t_infinity(orbit.point(0), E_PHI2, fc, params, orbit=orbit)[1] == kappa
+        assert t_infinity(orbit, E_PHI2, fc, alpha)[1] == kappa
 
         xis, xi_inf = xi_sequence_limit(orbit, fc, products, kappa)
         xis_walk, xi_inf_walk = xi_walk(deep, fc, alpha)
@@ -97,7 +98,7 @@ def test_products_match_chained_jacobian_walks(p, l, eps):
         assert _rel(upsilon, upsilon_sum(xis_walk, z0)) <= RTOL
 
         # a direction with a coupling part: the cross sum and its tail
-        limit, kappa_w, _ = t_infinity(orbit.point(0), w, fc, params, orbit=orbit)
+        limit, kappa_w, _ = t_infinity(orbit, w, fc, alpha)
         limit_walk, kappa_w_walk = chained_jacobian_walk(deep, w, fc, alpha)
         assert _rel(kappa_w, kappa_w_walk) <= tol
         assert limit.delta_g == 0.0
@@ -112,29 +113,40 @@ def test_closed_form_conjugating_map_matches_walks_and_double_iteration(p, l, ep
     v_star = find_fixed_point(fc, params)
     if abs(fc.lam_g) >= 1.0:
         with pytest.raises(DomainError):
-            koenigs_value(v_star, E_PHI2, fc, params)
+            koenigs_psi(v_star, E_PHI2, fc, params)
         return
     alpha = eig.alpha_u
     for g_rel in G_RELS[1:4]:
         orbit = stable_orbit(g_rel * fc.gbar, fc, params)
         deep = deep_orbit(g_rel * fc.gbar, fc, params)
-        # the walk settles on an absolute 1e-13, so it walks the unit
-        # vectors, and their row is applied to each small w
         e_walk = chained_jacobian_walk(deep, BulkVector(1.0, 0.0), fc, alpha)[1]
         k_walk = chained_jacobian_walk(deep, E_PHI2, fc, alpha)[1]
         for w in (BulkVector(0.0, 1e-4), BulkVector(2e-4, 1e-4)):
-            value, _ = koenigs_value(orbit.point(0), w, fc, params, orbit=orbit)
+            value, _ = koenigs_value(orbit, w, fc, alpha)
             assert value.delta_g == v_star.delta_g
             # K w_mu + E w_g cancels for the second w, so the rounding
             # scales with its terms rather than with their sum
             scale = abs(k_walk * w.mu) + abs(e_walk * w.delta_g)
-            assert abs(value.mu - v_star.mu - (k_walk * w.mu + e_walk * w.delta_g)) <= _walk_rtol(deep) * scale
+            kappa_walk = chained_jacobian_walk(deep, w, fc, alpha)[1]
+            assert abs(value.mu - v_star.mu - kappa_walk) <= _walk_rtol(deep) * scale
             if g_rel == 1.0:
                 # stage n of the double iteration grows the rounding of
                 # v* + alpha_u^-n w by alpha_u^n
-                psi, n, _ = psi_fixed_seed(w, fc, params, v_star=v_star)
+                psi, n, _ = psi_fixed_seed(w, fc, params, v_star, alpha)
                 bound = PSI_TOL + 4.0 * alpha**n * math.ulp(v_star.mu)
                 assert max(abs(psi.delta_g - value.delta_g), abs(psi.mu - value.mu)) <= bound
+
+
+def test_walk_of_a_small_w_is_the_combination_of_the_unit_walks():
+    # the walk settles relative to |y|, so a small w is walked as far as
+    # the unit vectors; an absolute stop leaves it 8e-10 short here
+    params, fc, eig = _point(2, 1, 0.1)
+    deep = deep_orbit(fc.gbar, fc, params)
+    e_walk = chained_jacobian_walk(deep, BulkVector(1.0, 0.0), fc, eig.alpha_u)[1]
+    k_walk = chained_jacobian_walk(deep, E_PHI2, fc, eig.alpha_u)[1]
+    kappa_walk = chained_jacobian_walk(deep, BulkVector(2e-4, 1e-4), fc, eig.alpha_u)[1]
+    scale = abs(2e-4 * e_walk) + abs(1e-4 * k_walk)
+    assert abs(kappa_walk - (2e-4 * e_walk + 1e-4 * k_walk)) <= _walk_rtol(deep) * scale
 
 
 @pytest.mark.parametrize("eps", (1e-2, 1e-3, 3e-4, 1e-4))

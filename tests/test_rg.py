@@ -382,7 +382,7 @@ def test_deviation_linear_map_is_lower_triangular_on_the_mass_line(p):
 
     for l in (1, 2, 3, 4):
         for eps in (0.01, 0.3, 1.0):
-            params = make_params(p, l, eps, box_budget=None)
+            params = make_params(p, l, eps)
             table = covariance_table(params)
             fc = flow_coefficients(table, params)
             v_star = find_fixed_point(fc, params)
@@ -407,7 +407,7 @@ def test_graph_list_matches_dense_graph_tensor(p):
 
     for l in (1, 2, 3):
         for eps in (1e-3, 0.01, 0.1, 0.5, 1.0):
-            params = make_params(p, l, eps, box_budget=None)
+            params = make_params(p, l, eps)
             table = covariance_table(params)
             fc = flow_coefficients(table, params)
             v_star = find_fixed_point(fc, params)
