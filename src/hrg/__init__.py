@@ -8,12 +8,11 @@ desk scale with the remainder coordinate pinned to ZERO.
 from .covariance import CovarianceTable, covariance_table, free_pairing_c_inf
 from .geometry import ModelParams, make_params
 from .observables import ObservableReport, full_report
-from .rg import BulkVector, DeviationVector, FlowCoefficients, bulk_step, flow_coefficients
+from .rg import BulkVector, FlowCoefficients, bulk_step, flow_coefficients
 
 __all__ = [
     "BulkVector",
     "CovarianceTable",
-    "DeviationVector",
     "FlowCoefficients",
     "ModelParams",
     "ObservableReport",

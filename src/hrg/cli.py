@@ -1,4 +1,4 @@
-"""Command-line front end: parameter sweeps, CSV/JSON emission, regression support.
+"""Command-line front end: parameter sweeps, CSV/JSON emission.
 
 Grammar: ``hrg [--config FILE] COMMAND [--opt VALUE | --opt=VALUE ...]``.  An
 option is named exactly or by a unique prefix (an exact ``--g`` beats the
@@ -71,14 +71,6 @@ def dump_report(payload: dict) -> str:
     """Serialize a report with a schema tag, byte for byte as json.dumps(indent=2,
     sort_keys=True) would once numpy values are Python ones: floats as their repr."""
     return _json({"schema_version": SCHEMA_VERSION, **payload}, "") + "\n"
-
-
-def load_report(text: str) -> dict:
-    """Parse a report, rejecting unknown schema versions."""
-    data = json.loads(text)
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise IoError(f"unknown schema version {data.get('schema_version')!r}")
-    return data
 
 
 def read_config(path: str) -> dict:
@@ -198,24 +190,18 @@ def _cmd_fixed_point(o) -> str:
 def _cmd_linearize(o) -> str:
     params, _, fc = _bulk_from(o)
     v = dynamics.find_fixed_point(fc, params)
-    eig = dynamics.unstable_eigenpair(dynamics.jacobian_at(v, fc))
-    eta = observables.eta_phi2(eig, params)
+    alpha_u, e_u = dynamics.unstable_eigenvalue(fc), dynamics.E_PHI2
+    # J e_u - alpha_u e_u = (J_01, J_11(v) - alpha_u), and J_01 = 0: the coupling step does not read mu
+    j11 = fc.lam_mu_free - fc.a3 * (fc.gbar + v.delta_g)
     return dump_report(
         {
             "command": "linearize",
-            "alpha_u": eig.alpha_u,
-            "e_u": [eig.e_u.delta_g, eig.e_u.mu],
+            "alpha_u": alpha_u,
+            "e_u": [e_u.delta_g, e_u.mu],
             "lam_g": fc.lam_g,
             "mu_star": v.mu,
-            "eta_phi2": eta,
-            "residuals": {
-                "eigen": float(
-                    np.linalg.norm(
-                        eig.jacobian @ np.array([eig.e_u.delta_g, eig.e_u.mu])
-                        - eig.alpha_u * np.array([eig.e_u.delta_g, eig.e_u.mu])
-                    )
-                )
-            },
+            "eta_phi2": observables.eta_phi2(alpha_u, params),
+            "residuals": {"eigen": abs(j11 - alpha_u)},
         }
     )
 
@@ -242,8 +228,7 @@ def _cmd_koenigs(o) -> str:
     params, _, fc = _bulk_from(o)
     z = o["z"]
     v = dynamics.find_fixed_point(fc, params)
-    eig = dynamics.unstable_eigenpair(dynamics.jacobian_at(v, fc))
-    w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
+    w = BulkVector(z * dynamics.E_PHI2.delta_g, z * dynamics.E_PHI2.mu)
     res = dynamics.koenigs_psi(v, w, fc, params)
     return dump_report(
         {
@@ -252,7 +237,6 @@ def _cmd_koenigs(o) -> str:
             "n_used": res.n_used,
             "value": [res.value.delta_g, res.value.mu],
             "intertwine_residual": res.intertwine_residual,
-            "quadratic_coeff_estimate": res.quadratic_coeff_estimate,
             "semigroup_residuals": res.semigroup_residuals,
             "double_iteration_residual": res.double_iteration_residual,
         }
@@ -264,7 +248,7 @@ def _cmd_observables(o) -> str:
     g_rel, g = o["g_rel"], o["g"]
     if g is None and g_rel is not None:
         g = g_rel * fc.gbar
-    report = observables.full_report(params, g_seed=g, table=table, fc=fc)
+    report = observables.full_report(params, table, fc, g_seed=g)
     return dump_report({"command": "observables", **vars(report), "norms": vars(report.norms)})
 
 
@@ -285,7 +269,7 @@ SWEEP_COLUMNS = [
 def _sweep_row(p: int, l: int, eps: float):
     """One sweep row; a domain error fills only eps and the error column."""
     try:
-        report = observables.full_report(make_params(p, l, eps))
+        report = observables.full_report(*_bulk_from({"p": p, "l": l, "eps": eps}))
     except HRGError as exc:
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";")
         return [eps] + [""] * (len(SWEEP_COLUMNS) - 2) + [msg]

@@ -45,7 +45,6 @@ from .errors import (
     DomainError,
     EscapeAmbiguousError,
     ManifoldRadiusError,
-    NoGapError,
     OffManifoldError,
 )
 from .geometry import ModelParams
@@ -68,21 +67,10 @@ SEMIGROUP_SHIFTS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
-class EigenData:
-    """Unstable eigenvalue and direction of the linearized flow."""
-
-    alpha_u: float
-    e_u: BulkVector
-    lam_g: float
-    jacobian: np.ndarray
-
-
-@dataclass(frozen=True)
 class KoenigsResult:
     value: BulkVector
     n_used: int
     intertwine_residual: float
-    quadratic_coeff_estimate: float
     double_iteration_residual: float
     semigroup_residuals: list
 
@@ -100,27 +88,11 @@ def find_fixed_point(fc: FlowCoefficients, params: ModelParams) -> BulkVector:
     return BulkVector(0.0, fc.a2 * fc.gbar**2 / denom)
 
 
-def jacobian_at(v: BulkVector, fc: FlowCoefficients) -> np.ndarray:
-    """Analytic 2x2 Jacobian of the bulk step at v."""
-    g = fc.gbar + v.delta_g
-    return np.array(
-        [
-            [fc.lam_g - 2.0 * fc.a1 * v.delta_g, 0.0],
-            [-2.0 * fc.a2 * g - fc.a3 * v.mu, fc.lam_mu_free - fc.a3 * g],
-        ]
-    )
-
-
-def unstable_eigenpair(j: np.ndarray) -> EigenData:
-    """Eigenpair of a lower triangular Jacobian whose mass entry dominates:
-    alpha_u = J[1, 1] with e_u = (0, 1), and lam_g = J[0, 0]."""
-    if j[0, 1] != 0.0:
-        raise NoGapError("Jacobian is not lower triangular")
-    if abs(j[1, 1]) <= abs(j[0, 0]):
-        raise NoGapError("mass eigenvalue does not dominate; no unstable direction (0, 1)")
-    return EigenData(
-        alpha_u=float(j[1, 1]), e_u=BulkVector(0.0, 1.0), lam_g=float(j[0, 0]), jacobian=j.copy()
-    )
+def unstable_eigenvalue(fc: FlowCoefficients) -> float:
+    """alpha_u = J_11(v*) = lam_mu_free - a3 gbar.  The Jacobian at the
+    fixed point is lower triangular and its mass entry dominates the
+    coupling one, lam_g, so the unstable direction is exactly E_PHI2."""
+    return fc.lam_mu_free - fc.a3 * fc.gbar
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +162,7 @@ def stable_orbit(g: float, fc: FlowCoefficients, params: ModelParams) -> Manifol
     v_star = find_fixed_point(fc, params)
     if delta_g0 == 0.0:
         return ManifoldOrbit(dg=np.zeros(1), mu=np.array([v_star.mu]), v_star=v_star, settle_index=0)
-    depth = _sweep_depth(fc.lam_mu_free - fc.a3 * fc.gbar, float(params.L))
+    depth = _sweep_depth(unstable_eigenvalue(fc), float(params.L))
     dg = [float(delta_g0)]
     for _ in range(depth):
         dg.append(fc.lam_g * dg[-1] - fc.a1 * dg[-1] ** 2)
@@ -356,7 +328,7 @@ def transport_along(
     orbit: ManifoldOrbit, w: BulkVector, fc: FlowCoefficients, alpha_u: float, q: int
 ) -> BulkVector:
     """alpha_u^-q times the q-step chained Jacobian along the orbit, applied
-    to w, one float step of the lower triangular `jacobian_at` at a time."""
+    to w, one float step of the lower triangular bulk-step Jacobian at a time."""
     y_g, y_mu = w.delta_g, w.mu
     for v in map(orbit.point, range(q)):
         g = fc.gbar + v.delta_g
@@ -375,29 +347,25 @@ def koenigs_value(orbit: ManifoldOrbit, w: BulkVector, fc: FlowCoefficients, alp
 
 
 def koenigs_psi(v: BulkVector, w: BulkVector, fc: FlowCoefficients, params: ModelParams) -> KoenigsResult:
-    """Conjugating map at (v, w) with its checks, from one orbit, one
-    eigenpair and the row ell at v.
+    """Conjugating map at (v, w) with its checks, from one orbit, the
+    unstable eigenvalue and the row ell at v.
 
-    The values at w, w / alpha_u and w / 2 follow from the row by
-    linearity.  It is checked by one `bulk_step` of psi(v, w / alpha_u)
-    (intertwining), by the rows at later orbit points (`semigroup_residuals`),
-    and by the double iteration of (0, ell . w), which shares no code with
-    it and whose stage count is n_used.
+    The values at w and w / alpha_u follow from the row by linearity.  It
+    is checked by one `bulk_step` of psi(v, w / alpha_u) (intertwining), by
+    the rows at later orbit points (`semigroup_residuals`), and by the
+    double iteration of (0, ell . w), which shares no code with it and
+    whose stage count is n_used.
     """
     orbit = orbit_for_seed(v, fc, params)
-    alpha = unstable_eigenpair(jacobian_at(orbit.v_star, fc)).alpha_u
+    alpha = unstable_eigenvalue(fc)
     value, row = koenigs_value(orbit, w, fc, alpha)
     base = orbit.v_star
     shrunk = BulkVector(base.delta_g, base.mu + _apply(row, BulkVector(w.delta_g / alpha, w.mu / alpha)))
-    half_mu = base.mu + _apply(row, BulkVector(0.5 * w.delta_g, 0.5 * w.mu))
-    wnorm = max(abs(w.delta_g), abs(w.mu))
-    quad = 2.0 * abs(value.mu - 2.0 * half_mu + base.mu) / wnorm**2 if wnorm > 0 else 0.0
     fixed, n_used, _ = psi_fixed_seed(BulkVector(0.0, _apply(row, w)), fc, params, base, alpha)
     return KoenigsResult(
         value=value,
         n_used=n_used,
         intertwine_residual=_diff(bulk_step(shrunk, fc, params)[0], value),
-        quadratic_coeff_estimate=quad,
         double_iteration_residual=_diff(fixed, value),
         semigroup_residuals=semigroup_residuals(orbit, w, fc, alpha, row),
     )

@@ -21,20 +21,8 @@ class BoxIndexError(HRGError):
     """Box address invalid for the given parameters."""
 
 
-class DegreeError(HRGError):
-    """Polynomial degree exceeds the supported cap."""
-
-
-class WickConstantMismatchError(HRGError):
-    """Binary operation on Wick polynomials with different constants."""
-
-
 class BlowUpError(HRGError):
     """Couplings left the configured guard region during iteration."""
-
-
-class NoGapError(HRGError):
-    """Jacobian is not triangular with a dominant mass eigenvalue."""
 
 
 class ManifoldRadiusError(HRGError):

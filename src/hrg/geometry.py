@@ -1,8 +1,9 @@
 """Model parameters and the ultrametric geometry of unit boxes in an L-block.
 
-A block of side L = p^l holds L^3 unit boxes, addressed by l levels of
-base-p digit triples (coarsest level first).  Two distinct boxes that first
-disagree at level t sit at tree distance p^(l-t), which is the p-adic
+A block of side L = p^l holds L^3 unit boxes, numbered in tree order: the
+base-p^3 digits of a box's number, most significant first, pick its
+sub-block at each of the l levels, coarsest first.  Two distinct boxes that
+first disagree at level t sit at tree distance p^(l-t), which is the p-adic
 distance between any pair of their points.  Every spatial integral used in
 this package is constant on these distance classes, so the whole geometry
 reduces to the functions below.
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -75,47 +75,11 @@ def make_params(p: int, l: int, eps: float) -> ModelParams:
     return ModelParams(p=p, l=l, eps=float(eps), L=L, phi_dim=(3.0 - eps) / 4.0)
 
 
-@dataclass(frozen=True)
-class BoxIndex:
-    """Address of one unit box: l triples of base-p digits, coarsest first."""
-
-    coords: tuple
-
-
-def all_boxes(params: ModelParams):
-    """All L^3 box addresses in lexicographic order (coarsest digits first).
-
-    With this ordering the first p^(3j) boxes are exactly the sub-ball of
-    radius p^j around the origin box, for every j <= l.
-    """
-    digits = range(params.p)
-    out = []
-    for flat in product(digits, repeat=3 * params.l):
-        out.append(BoxIndex(coords=flat))
-    return out
-
-
-def _check_box(b: BoxIndex, params: ModelParams):
-    if len(b.coords) != 3 * params.l or any(not (0 <= d < params.p) for d in b.coords):
-        raise BoxIndexError(f"bad box address {b.coords} for p={params.p}, l={params.l}")
-
-
-def block_distance(i: BoxIndex, j: BoxIndex, params: ModelParams) -> float:
-    """Tree distance between two unit boxes: p^k with k = l - (common levels)."""
-    _check_box(i, params)
-    _check_box(j, params)
-    for level in range(params.l):
-        a = i.coords[3 * level : 3 * level + 3]
-        b = j.coords[3 * level : 3 * level + 3]
-        if a != b:
-            return float(params.p ** (params.l - level))
-    return 0.0
-
-
 def distance_exponents(p: int, levels: int) -> np.ndarray:
     """Matrix K with K[i,j] = k for box distance p^k (K=0 on the diagonal).
 
-    Boxes are numbered 0..p^(3*levels)-1 in the all_boxes order.  Distinct
+    Boxes are numbered 0..p^(3*levels)-1 in tree order, so the first
+    p^(3j) boxes are the sub-ball of radius p^j around box 0.  Distinct
     boxes always have k >= 1, so K=0 unambiguously marks identical boxes.
     """
     base = p**3

@@ -20,16 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# covariance_table and flow_coefficients are not called here: bench/test_bench.py imports them from this module
 from .covariance import CovarianceTable, covariance_table, free_pairing_c_inf
-from .dynamics import (
-    EigenData,
-    ManifoldOrbit,
-    find_fixed_point,
-    jacobian_at,
-    mass_products,
-    stable_orbit,
-    unstable_eigenpair,
-)
+from .dynamics import ManifoldOrbit, find_fixed_point, mass_products, stable_orbit, unstable_eigenvalue
 from .errors import ContractionError, SeriesDivergenceError
 from .geometry import ModelParams
 from .rg import BulkVector, DeviationQuadratic, FlowCoefficients, deviation_quadratic, flow_coefficients
@@ -70,10 +63,10 @@ class ObservableReport:
     error_bands: dict = field(default_factory=dict)
 
 
-def eta_phi2(eig: EigenData, params: ModelParams) -> float:
+def eta_phi2(alpha_u: float, params: ModelParams) -> float:
     """Anomalous dimension of the squared field from the unstable eigenvalue."""
     L = float(params.L)
-    return (3.0 + params.eps) - 2.0 * np.log(eig.alpha_u) / np.log(L)
+    return (3.0 + params.eps) - 2.0 * np.log(alpha_u) / np.log(L)
 
 
 def u_values(params: ModelParams, table: CovarianceTable, fc: FlowCoefficients, v_star: BulkVector):
@@ -100,7 +93,7 @@ def u_values(params: ModelParams, table: CovarianceTable, fc: FlowCoefficients, 
     return u2, u4
 
 
-def phi2_uv_reduced(fc: FlowCoefficients, eig: EigenData, params: ModelParams) -> float:
+def phi2_uv_reduced(fc: FlowCoefficients, alpha_u: float, params: ModelParams) -> float:
     """Ultraviolet piece of the reduced composite two-point value.
 
     The vacuum term a4 g^2 + a5 mu^2 has second derivative 2 a5 along the
@@ -109,9 +102,9 @@ def phi2_uv_reduced(fc: FlowCoefficients, eig: EigenData, params: ModelParams) -
     alpha_u^2 - L^3.
     """
     L3 = float(params.L) ** 3
-    if eig.alpha_u**2 <= L3:
+    if alpha_u**2 <= L3:
         raise SeriesDivergenceError("alpha_u^2 <= L^3: ultraviolet series diverges")
-    return 2.0 * fc.a5 / (eig.alpha_u**2 - L3)
+    return 2.0 * fc.a5 / (alpha_u**2 - L3)
 
 
 MASS = 2  # slot of beta2 among the point couplings: e_u = (0, 1) seeds the deviation orbit there
@@ -151,7 +144,7 @@ def xi_sequence_limit(orbit: ManifoldOrbit, fc: FlowCoefficients, products: np.n
 
 
 def normalization_constants(
-    eig: EigenData,
+    alpha_u: float,
     params: ModelParams,
     xis: np.ndarray,
     xi_inf: float,
@@ -164,8 +157,8 @@ def normalization_constants(
     z0^M, below 1e-17 of Xi.  The two-point normalization fixes y2 and then
     y0."""
     L = float(params.L)
-    z2 = eig.alpha_u * L ** (-(3.0 - 2.0 * params.phi_dim))
-    z0 = eig.alpha_u / L**3
+    z2 = alpha_u * L ** (-(3.0 - 2.0 * params.phi_dim))
+    z0 = alpha_u / L**3
     if z0 >= 1.0:
         raise SeriesDivergenceError("L^-3 alpha_u >= 1: the one-point series diverges")
     if reduced_sum <= 0.0:
@@ -199,39 +192,31 @@ def one_point_residual(
 
 
 def full_report(
-    params: ModelParams,
-    g_seed: float | None = None,
-    table: CovarianceTable | None = None,
-    fc: FlowCoefficients | None = None,
+    params: ModelParams, table: CovarianceTable, fc: FlowCoefficients, g_seed: float | None = None
 ) -> ObservableReport:
-    """Assemble every observable for one parameter point.
+    """Assemble every observable for one parameter point from its
+    covariance table and flow coefficients.
 
     g_seed picks the bare coupling whose critical orbit seeds the
-    normalization constants; physical outputs must not depend on it.  A
-    caller that already holds the table and the flow coefficients of
-    params passes them in.
+    normalization constants; physical outputs must not depend on it.
     """
-    if table is None:
-        table = covariance_table(params)
-    if fc is None:
-        fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
+    alpha_u = unstable_eigenvalue(fc)
 
     g = fc.gbar if g_seed is None else g_seed
     orbit = stable_orbit(g, fc, params)
 
-    eta = eta_phi2(eig, params)
+    eta = eta_phi2(alpha_u, params)
     u2, u4 = u_values(params, table, fc, v_star)
-    uv = phi2_uv_reduced(fc, eig, params)
+    uv = phi2_uv_reduced(fc, alpha_u, params)
     dq = deviation_quadratic(v_star, fc, table, params)
     ir = phi2_ir_reduced(dq)
     reduced_sum = uv + ir.value
-    products, kappa = mass_products(orbit, fc, eig.alpha_u)
+    products, kappa = mass_products(orbit, fc, alpha_u)
     if kappa == 0.0:
         raise SeriesDivergenceError("kappa vanished; composite normalization undefined")
     xis, xi_inf = xi_sequence_limit(orbit, fc, products, kappa)
-    norms = normalization_constants(eig, params, xis, xi_inf, kappa, reduced_sum)
+    norms = normalization_constants(alpha_u, params, xis, xi_inf, kappa, reduced_sum)
     two_point = norms.y2**2 * kappa**2 * reduced_sum
     residual = one_point_residual(dq, params, xi_inf, norms)
 
@@ -248,7 +233,7 @@ def full_report(
         ir_reduced=ir.value,
         two_point_normalized=two_point,
         one_point_residual=residual,
-        alpha_u=eig.alpha_u,
+        alpha_u=alpha_u,
         mu_star=v_star.mu,
         gbar=gbar,
         norms=norms,

@@ -9,9 +9,9 @@ on ultrametric distance classes, so it telescopes into sums over the
 blocks of each level: the cost grows linearly with the box count and no
 box-by-box matrix is formed.  The deviation flow at f = 0 needs even less:
 its linear and bilinear parts are closed forms in the covariance moments.
-A Wick-contraction cumulant expansion (`cumulant_oracle`) derives the
-explicit coefficients a second way; the tests also check them against the
-exact one-block integral at l = 1.
+The tests derive the explicit flow coefficients a second way, by a
+Wick-contraction cumulant expansion, and check them against the exact
+one-block integral at l = 1.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from math import comb, factorial
 import numpy as np
 
 from .covariance import CovarianceTable
-from .errors import BlowUpError, DomainError
+from .errors import BlowUpError
 from .geometry import ModelParams
-from .wick import WickPoly, connection_coeff, scale_argument, wick_product
+from .wick import connection_coeff
 
 BLOWUP_GUARD = 1e6
 
@@ -380,9 +380,6 @@ class DeviationQuadratic:
     r: np.ndarray  # (6, 6), symmetric
     lam_f: float
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        return self.m @ x + np.einsum("kij,i,j->k", self.q, x, x)
-
     def spectral_radius(self) -> float:
         """Spectral radius of the linearized flow, f included; M is lower triangular."""
         return max(*map(abs, self.m.diagonal().tolist()), self.lam_f)
@@ -416,100 +413,3 @@ def deviation_quadratic(
     lin[:6] += np.diag(L ** (3 - phi * np.array([4.0, 3.0, 2.0, 1.0, 5.0, 6.0])) / params.n_boxes)
     quad = np.bincount(quad_at, w * table.gamma_ball**m, minlength=252).reshape(7, 6, 6)
     return DeviationQuadratic(m=lin[:6], q=quad[:6], c=lin[6], r=quad[6], lam_f=L**-phi)
-
-
-def uv_explicit_series(
-    params: ModelParams,
-    table: CovarianceTable,
-    g_star: float,
-    q: int,
-    z: float,
-    mu_star: float = 0.0,
-):
-    """Closed-form q-th explicit couplings and vacuum term for the test
-    function z * (unit box indicator).
-
-    Returns (beta_exp, db_exp) with beta_exp mapping k=1..4; the quartic and
-    cubic entries vanish identically.  The vacuum term carries a mass
-    contribution proportional to mu_star.
-    """
-    if q < 0:
-        raise DomainError("q must be nonnegative")
-    L = float(params.L)
-    phi = params.phi_dim
-    s2 = table.s_moments[2]
-    s3 = table.s_moments[3]
-    s4 = table.s_moments[4]
-    g0 = table.gamma_ball
-    x = L ** (-2 * phi)
-    inner = sum(n * x**n for n in range(q))
-    geom = (1.0 - x**q) / (1.0 - x)
-    beta_exp = {
-        4: 0.0,
-        3: 0.0,
-        2: 6.0 * q * x**q * z**2 * g_star * s2,
-        1: z**3 * g_star * L ** (-q * phi) * (4.0 * geom * s3 + 12.0 * inner * s2 * g0),
-    }
-    db_exp = (
-        -(z**4)
-        * g_star
-        * (x ** (2 * q) * s4 + 6.0 * x ** (2 * q) * q * s2 * g0**2 + 12.0 * x**q * inner * s2 * g0**2 + 4.0 * x**q * geom * g0 * s3)
-        - z**2 * mu_star * x**q * s2
-    )
-    return beta_exp, db_exp
-
-
-def cumulant_oracle(table: CovarianceTable, params: ModelParams) -> FlowCoefficients:
-    """Independent derivation of the flow coefficients.
-
-    Expands the one-block Gaussian integral to second order in the
-    couplings: each box contributes Wick monomials split between the
-    rescaled background and the fluctuation, cross-box fluctuation moments
-    are exact pairings b! Gamma^b, and the background polynomials multiply
-    through the Wick product.  The quadratic forms in (g, mu) are then read
-    off by evaluation at basis points.
-    """
-    L = float(params.L)
-    phi = params.phi_dim
-    lam = L**-phi
-    c0 = table.c0_zero
-    c1 = c0 * lam**2
-    pair_sums = {m: params.n_boxes * table.s_moments[m] for m in range(1, 5)}  # sums of Gamma^m over box pairs
-
-    def counterterms(g: float, mu: float) -> dict:
-        beta = {4: g, 2: mu}
-        acc: dict = {}
-        for b in range(1, 5):
-            poly_b = {}
-            for deg, val in beta.items():
-                a = deg - b
-                if a >= 0 and val != 0.0:
-                    poly_b[a] = poly_b.get(a, 0.0) + val * comb(deg, a)
-            if not poly_b:
-                continue
-            wp = WickPoly(c=c1, coeffs=poly_b)
-            prod = wick_product(wp, wp)
-            weight = factorial(b) * pair_sums[b]
-            scaled = scale_argument(prod, lam)
-            for k, v in scaled.coeffs.items():
-                acc[k] = acc.get(k, 0.0) + 0.5 * weight * v
-        return acc
-
-    c_g = counterterms(1.0, 0.0)
-    c_mu = counterterms(0.0, 1.0)
-    c_both = counterterms(1.0, 1.0)
-    a1 = c_g.get(4, 0.0)
-    a2 = c_g.get(2, 0.0)
-    a3 = c_both.get(2, 0.0) - c_g.get(2, 0.0) - c_mu.get(2, 0.0)
-    a4 = c_g.get(0, 0.0)
-    a5 = c_mu.get(0, 0.0)
-    return FlowCoefficients(
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        a4=a4,
-        a5=a5,
-        gbar=(params.l_eps - 1.0) / a1,
-        lam_g=2.0 - params.l_eps,
-        lam_mu_free=params.lam_mu_free,
-    )

@@ -1,13 +1,15 @@
 """Reference solvers that share no code with the closed forms they check."""
 
 import math
+from dataclasses import dataclass
+from itertools import product
 from math import factorial
 
 import mpmath
 import numpy as np
 
-from hrg.dynamics import ManifoldOrbit, find_fixed_point, jacobian_at, psi_fixed_seed
-from hrg.errors import DomainError, HRGError
+from hrg.dynamics import E_PHI2, ManifoldOrbit, find_fixed_point, psi_fixed_seed
+from hrg.errors import BoxIndexError, DomainError, HRGError
 from hrg.geometry import distance_exponents
 from hrg.rg import BlockCouplings, BulkVector, DeviationVector, bulk_step
 from hrg.wick import connection_coeff
@@ -23,6 +25,39 @@ class ResonanceError(HRGError):
 
 class SelfCheckError(HRGError):
     """Two evaluation routes disagree beyond tolerance."""
+
+
+@dataclass(frozen=True)
+class BoxIndex:
+    """Address of one unit box: l triples of base-p digits, coarsest first."""
+
+    coords: tuple
+
+
+def all_boxes(params):
+    """All L^3 box addresses in lexicographic order (coarsest digits first).
+
+    With this ordering the first p^(3j) boxes are exactly the sub-ball of
+    radius p^j around the origin box, for every j <= l.
+    """
+    return [BoxIndex(coords=flat) for flat in product(range(params.p), repeat=3 * params.l)]
+
+
+def _check_box(b, params):
+    if len(b.coords) != 3 * params.l or any(not (0 <= d < params.p) for d in b.coords):
+        raise BoxIndexError(f"bad box address {b.coords} for p={params.p}, l={params.l}")
+
+
+def block_distance(i, j, params):
+    """Tree distance between two unit boxes: p^k with k = l - (common levels)."""
+    _check_box(i, params)
+    _check_box(j, params)
+    for level in range(params.l):
+        a = i.coords[3 * level : 3 * level + 3]
+        b = j.coords[3 * level : 3 * level + 3]
+        if a != b:
+            return float(params.p ** (params.l - level))
+    return 0.0
 
 
 def shell_measure(params, k):
@@ -166,6 +201,17 @@ def mp_u4_total(x, s2, s3, s4, g0, digits=50):
             inner += q * x**q
             geom += x**q
         return total
+
+
+def jacobian_at(v, fc):
+    """Analytic 2x2 Jacobian of the bulk step at v."""
+    g = fc.gbar + v.delta_g
+    return np.array(
+        [
+            [fc.lam_g - 2.0 * fc.a1 * v.delta_g, 0.0],
+            [-2.0 * fc.a2 * g - fc.a3 * v.mu, fc.lam_mu_free - fc.a3 * g],
+        ]
+    )
 
 
 def newton_fixed_point(fc, params, tol=1e-12, max_iter=100):
@@ -341,33 +387,34 @@ def second_derivative_map(fc, x, y):
     )
 
 
-def theta_vector(fc, eig):
-    """Quadratic coefficient of the conjugating map along the unstable line.
+def theta_vector(fc, alpha_u, e_u, jacobian):
+    """Quadratic coefficient of the conjugating map along the unstable line
+    of the eigenpair (alpha_u, e_u) of `jacobian`.
 
     Solves (alpha_u^2 I - J) theta = (1/2) D2[e_u, e_u]; resonance cannot
     occur for the physical flow (alpha_u > 1) but is guarded for synthetic
     coefficient sets.
     """
-    e = np.array([eig.e_u.delta_g, eig.e_u.mu])
+    e = np.array([e_u.delta_g, e_u.mu])
     rhs = 0.5 * second_derivative_map(fc, e, e)
-    m = eig.alpha_u**2 * np.eye(2) - eig.jacobian
-    if abs(np.linalg.det(m)) < 1e-14 * max(1.0, eig.alpha_u**4):
+    m = alpha_u**2 * np.eye(2) - jacobian
+    if abs(np.linalg.det(m)) < 1e-14 * max(1.0, alpha_u**4):
         raise ResonanceError("alpha_u^2 resonates with the Jacobian spectrum")
     sol = np.linalg.solve(m, rhs)
     return BulkVector(float(sol[0]), float(sol[1]))
 
 
-def psi_vacuum_second_derivative(fc, eig, v_star, params):
+def psi_vacuum_second_derivative(fc, alpha_u, v_star, params):
     """Second z-derivative of the vacuum term along the conjugated unstable
-    line z -> psi(v*, z e_u), by the defining double iteration and a
+    line z -> psi(v*, z e_u), e_u = E_PHI2, by the defining double iteration and a
     Richardson-extrapolated central second difference at steps FD_H/2 and
     FD_H."""
 
     def f(z):
         if z == 0.0:
             return delta_b_value(v_star, fc)
-        w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
-        psi, _, _ = psi_fixed_seed(w, fc, params, v_star, eig.alpha_u)
+        w = BulkVector(z * E_PHI2.delta_g, z * E_PHI2.mu)
+        psi, _, _ = psi_fixed_seed(w, fc, params, v_star, alpha_u)
         return delta_b_value(psi, fc)
 
     def second(hh):
@@ -376,12 +423,12 @@ def psi_vacuum_second_derivative(fc, eig, v_star, params):
     return (4.0 * second(FD_H / 2.0) - second(FD_H)) / 3.0
 
 
-def uv_reduced_oracle(fc, eig, theta, v_star, params):
+def uv_reduced_oracle(fc, alpha_u, theta, v_star, params):
     """The ultraviolet piece from the vacuum curvature along the line
-    v* + z e_u + z^2 theta, checked against the finite difference of
+    v* + z e_u + z^2 theta, e_u = E_PHI2, checked against the finite difference of
     `psi_vacuum_second_derivative` to FD_CHECK_RTOL (SelfCheckError
     otherwise), over the geometric-series denominator alpha_u^2 - L^3."""
-    eg = eig.e_u.delta_g
+    eg = E_PHI2.delta_g
     g_star = fc.gbar + v_star.delta_g
     curvature = (
         2.0 * fc.a4 * eg**2
@@ -389,15 +436,54 @@ def uv_reduced_oracle(fc, eig, theta, v_star, params):
         + 4.0 * fc.a4 * g_star * theta.delta_g
         + 4.0 * fc.a5 * v_star.mu * theta.mu
     )
-    fd = psi_vacuum_second_derivative(fc, eig, v_star, params)
+    fd = psi_vacuum_second_derivative(fc, alpha_u, v_star, params)
     if abs(fd - curvature) > FD_CHECK_RTOL * max(abs(curvature), 1e-300):
         raise SelfCheckError(f"vacuum second derivative mismatch: analytic {curvature!r} vs fd {fd!r}")
-    return curvature / (eig.alpha_u**2 - float(params.L) ** 3)
+    return curvature / (alpha_u**2 - float(params.L) ** 3)
 
 
 def point_seed(v):
     """A bulk (delta_g, mu) as a point deviation on (beta4, beta2)."""
     return np.array([v.delta_g, 0.0, v.mu, 0.0, 0.0, 0.0])
+
+
+def quadratic_step(dq, x):
+    """The f = 0 deviation step M x + Q(x, x) of a `DeviationQuadratic`."""
+    return dq.m @ x + np.einsum("kij,i,j->k", dq.q, x, x)
+
+
+def uv_explicit_series(params, table, g_star, q, z, mu_star=0.0):
+    """Closed-form q-th explicit couplings and vacuum term for the test
+    function z * (unit box indicator).
+
+    Returns (beta_exp, db_exp) with beta_exp mapping k=1..4; the quartic and
+    cubic entries vanish identically.  The vacuum term carries a mass
+    contribution proportional to mu_star.
+    """
+    if q < 0:
+        raise DomainError("q must be nonnegative")
+    L = float(params.L)
+    phi = params.phi_dim
+    s2 = table.s_moments[2]
+    s3 = table.s_moments[3]
+    s4 = table.s_moments[4]
+    g0 = table.gamma_ball
+    x = L ** (-2 * phi)
+    inner = sum(n * x**n for n in range(q))
+    geom = (1.0 - x**q) / (1.0 - x)
+    beta_exp = {
+        4: 0.0,
+        3: 0.0,
+        2: 6.0 * q * x**q * z**2 * g_star * s2,
+        1: z**3 * g_star * L ** (-q * phi) * (4.0 * geom * s3 + 12.0 * inner * s2 * g0),
+    }
+    db_exp = (
+        -(z**4)
+        * g_star
+        * (x ** (2 * q) * s4 + 6.0 * x ** (2 * q) * q * s2 * g0**2 + 12.0 * x**q * inner * s2 * g0**2 + 4.0 * x**q * geom * g0 * s3)
+        - z**2 * mu_star * x**q * s2
+    )
+    return beta_exp, db_exp
 
 
 def stein_ir_reduced(dq, e_u):

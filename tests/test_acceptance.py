@@ -12,18 +12,26 @@ from hrg.errors import DomainError
 from hrg.geometry import distance_class_sizes, make_params
 from hrg.mc import sample_hierarchical_field, validate
 from hrg.observables import eta_phi2, full_report, phi2_ir_reduced, phi2_uv_reduced, u_values
-from hrg.rg import BulkVector, cumulant_oracle, deviation_quadratic, flow_coefficients
-from hrg.wick import WickPoly, connection_coeff, monomial_to_wick, wick_product, wick_to_monomial
+from hrg.rg import BulkVector, deviation_quadratic, flow_coefficients
+from hrg.wick import connection_coeff
 from hrg.dynamics import (
+    E_PHI2,
     critical_mass,
     find_fixed_point,
-    jacobian_at,
     koenigs_psi,
     psi_fixed_seed,
     stable_orbit,
-    unstable_eigenpair,
+    unstable_eigenvalue,
 )
-from oracles import delta_b_value, gamma_series_value, measure_contraction, newton_fixed_point, theta_vector
+from oracles import (
+    delta_b_value,
+    gamma_series_value,
+    jacobian_at,
+    measure_contraction,
+    newton_fixed_point,
+    theta_vector,
+)
+from wick_algebra import WickPoly, cumulant_oracle, monomial_to_wick, wick_product, wick_to_monomial
 
 GRID = [
     (p, l, eps)
@@ -43,8 +51,7 @@ def standard_point():
     table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    return params, table, fc, v_star, eig
+    return params, table, fc, v_star, unstable_eigenvalue(fc)
 
 
 def test_criterion_01_covariance_exactness():
@@ -118,16 +125,16 @@ def test_criterion_04_wick_algebra():
 
 
 def test_criterion_05_fixed_point_and_eigenvalue(standard_point):
-    params, table, fc, v_star, eig = standard_point
+    params, table, fc, v_star, alpha_u = standard_point
     newton = newton_fixed_point(fc, params)
     assert abs(v_star.delta_g) <= 1e-10 and abs(newton.delta_g) <= 1e-10
     assert abs(v_star.mu - newton.mu) <= 1e-10 * abs(newton.mu)
-    analytic = params.lam_mu_free - fc.a3 * fc.gbar
-    assert abs(eig.alpha_u - analytic) <= 1e-8
-    assert abs(eig.alpha_u - 2.862812) <= 1e-5
+    lapack = max(np.linalg.eigvals(jacobian_at(v_star, fc)).real, key=abs)
+    assert abs(alpha_u - lapack) <= 1e-8
+    assert abs(alpha_u - 2.862812) <= 1e-5
     print(
         f"criterion 05 PASS: mu* = {v_star.mu:.6e} matches the Newton oracle; "
-        f"alpha_u = {eig.alpha_u:.6f} = 2.862812 +- 1e-5"
+        f"alpha_u = {alpha_u:.6f} = 2.862812 +- 1e-5"
     )
 
 
@@ -137,9 +144,7 @@ def test_criterion_06_anomalous_dimension_trend():
         params = make_params(2, 1, eps)
         table = covariance_table(params)
         fc = flow_coefficients(table, params)
-        v = find_fixed_point(fc, params)
-        eig = unstable_eigenpair(jacobian_at(v, fc))
-        ratios.append(eta_phi2(eig, params) / eps)
+        ratios.append(eta_phi2(unstable_eigenvalue(fc), params) / eps)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert abs(ratios[-1] - 2.0 / 3.0) < 0.02
     # series denominator scaling at the smallest tabulated eps
@@ -148,9 +153,7 @@ def test_criterion_06_anomalous_dimension_trend():
         params = make_params(2, 1, eps)
         table = covariance_table(params)
         fc = flow_coefficients(table, params)
-        v = find_fixed_point(fc, params)
-        eig = unstable_eigenpair(jacobian_at(v, fc))
-        slopes.append((1.0 - params.L**3 / eig.alpha_u**2) / eps)
+        slopes.append((1.0 - params.L**3 / unstable_eigenvalue(fc) ** 2) / eps)
     target = np.log(2.0) / 3.0
     assert abs(slopes[-1] - target) / target < 0.05
     assert all(abs(b - target) < abs(a - target) for a, b in zip(slopes, slopes[1:]))
@@ -174,16 +177,16 @@ def test_eta_closed_form():
                 params = make_params(p, l, eps)
                 L = float(params.L)
                 closed = -2.0 * np.log((2.0 + L**-eps) / 3.0) / np.log(L)
-                fc = flow_coefficients(covariance_table(params), params)
-                eig = unstable_eigenpair(jacobian_at(find_fixed_point(fc, params), fc))
-                etas = [eta_phi2(eig, params)]
+                table = covariance_table(params)
+                fc = flow_coefficients(table, params)
+                etas = [eta_phi2(unstable_eigenvalue(fc), params)]
                 if abs(fc.lam_g) >= 1.0:
                     # no stable manifold: the report must refuse the point
                     with pytest.raises(DomainError):
-                        full_report(params)
+                        full_report(params, table, fc)
                     no_orbit.append((p, l, eps))
                 else:
-                    etas.append(full_report(params).eta_phi2)
+                    etas.append(full_report(params, table, fc).eta_phi2)
                     reports += 1
                 for eta in etas:
                     worst = max(worst, abs(eta - closed))
@@ -195,27 +198,27 @@ def test_eta_closed_form():
 
 
 def test_criterion_07_koenigs_properties(standard_point):
-    params, table, fc, v_star, eig = standard_point
+    params, table, fc, v_star, alpha_u = standard_point
     z = 1e-4
-    w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
+    w = BulkVector(z * E_PHI2.delta_g, z * E_PHI2.mu)
     res = koenigsres = koenigs_psi(v_star, w, fc, params)
     assert res.intertwine_residual <= 1e-10
     # identity differential: remainder obeys the quadratic envelope at every
     # scale (in truncation mode it collapses to the rounding floor)
     for zz in np.logspace(-4, -2.5, 4):
-        ww = BulkVector(zz * eig.e_u.delta_g, zz * eig.e_u.mu)
-        val, _, _ = psi_fixed_seed(ww, fc, params, v_star, eig.alpha_u)
+        ww = BulkVector(zz * E_PHI2.delta_g, zz * E_PHI2.mu)
+        val, _, _ = psi_fixed_seed(ww, fc, params, v_star, alpha_u)
         rem = max(abs(val.delta_g - v_star.delta_g - ww.delta_g), abs(val.mu - v_star.mu - ww.mu))
         assert rem <= 17.0 / 8.0 * zz**2 + 1e-12
     # slope 2 carried by the vacuum composition, whose quadratic term is
     # nonzero in truncation
-    e = np.array([eig.e_u.delta_g, eig.e_u.mu])
+    e = np.array([E_PHI2.delta_g, E_PHI2.mu])
     grad = np.array([2 * fc.a4 * (fc.gbar + v_star.delta_g), 2 * fc.a5 * v_star.mu])
     lin = float(grad @ e)
     zs = np.logspace(-4, -3, 5)
     rems = []
     for zz in zs:
-        val, _, _ = psi_fixed_seed(BulkVector(zz * e[0], zz * e[1]), fc, params, v_star, eig.alpha_u)
+        val, _, _ = psi_fixed_seed(BulkVector(zz * e[0], zz * e[1]), fc, params, v_star, alpha_u)
         rems.append(abs(delta_b_value(val, fc) - delta_b_value(v_star, fc) - zz * lin))
     slope = float(np.polyfit(np.log(zs), np.log(rems), 1)[0])
     assert abs(slope - 2.0) <= 0.05
@@ -229,7 +232,7 @@ def test_criterion_07_koenigs_properties(standard_point):
 
 
 def test_criterion_08_critical_mass(standard_point):
-    params, table, fc, v_star, eig = standard_point
+    params, table, fc, v_star, alpha_u = standard_point
     worst = 0.0
     for g_rel in (0.95, 1.0, 1.05):
         g = g_rel * fc.gbar
@@ -250,10 +253,10 @@ def test_criterion_09_two_point_blowup():
     table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    theta = theta_vector(fc, eig)
+    alpha_u = unstable_eigenvalue(fc)
+    theta = theta_vector(fc, alpha_u, E_PHI2, jacobian_at(v_star, fc))
     assert (theta.delta_g, theta.mu) == (0.0, 0.0)
-    uv = phi2_uv_reduced(fc, eig, params)
+    uv = phi2_uv_reduced(fc, alpha_u, params)
     target = 6.0 * (1 - 2.0**-3) / np.log(2.0)
     rel = abs(0.01 * uv - target) / target
     assert rel <= 0.05
@@ -288,10 +291,10 @@ def test_criterion_10_nontriviality():
 
 
 def test_criterion_11_normalizations(standard_point):
-    params, table, fc, v_star, eig = standard_point
+    params, table, fc, v_star, alpha_u = standard_point
     reports = {}
     for g_rel in (0.95, 1.05):
-        r = full_report(params, g_seed=g_rel * fc.gbar)
+        r = full_report(params, table, fc, g_seed=g_rel * fc.gbar)
         assert abs(r.one_point_residual) <= 1e-8
         assert abs(r.two_point_normalized - 1.0) <= 1e-10
         assert abs(r.norms.kappa) > 1e-3

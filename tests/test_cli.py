@@ -11,15 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hrg.cli import dump_report, load_report, read_config, run_command
+from hrg.cli import SCHEMA_VERSION, dump_report, read_config, run_command
 from hrg.covariance import covariance_table
-from hrg.dynamics import find_fixed_point, jacobian_at, kappa_tail_log, unstable_eigenpair
+from hrg.dynamics import kappa_tail_log, unstable_eigenvalue
 from hrg.errors import IoError
 from hrg.geometry import make_params
 from hrg.rg import flow_coefficients
 from oracles import deep_kappa
 
 DATA = Path(__file__).parent / "data"
+
+
+def load_report(text: str) -> dict:
+    """Parse a report, rejecting unknown schema versions."""
+    data = json.loads(text)
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise IoError(f"unknown schema version {data.get('schema_version')!r}")
+    return data
 
 
 def run(argv):
@@ -500,7 +508,7 @@ def test_mc_cholesky_not_positive_definite_exits_2(monkeypatch):
 def _bulk(p, l, eps):
     params = make_params(p, l, eps)
     fc = flow_coefficients(covariance_table(params), params)
-    return fc, unstable_eigenpair(jacobian_at(find_fixed_point(fc, params), fc)).alpha_u
+    return fc, unstable_eigenvalue(fc)
 
 
 def test_observables_reports_kappa_below_the_old_depth_cap():
@@ -624,6 +632,18 @@ def test_mc_does_not_read_l():
     assert len(outputs) == 1
     rc, out, err = outputs.pop()
     assert rc == 0 and err == "" and load_report(out)["command"] == "mc"
+
+
+def test_koenigs_at_extreme_z_exits_0_or_2():
+    # the map is linear along e_u, so nothing divides by |w|^2: a huge z
+    # leaves the guard box of the double iteration (exit 2), and a tiny one
+    # gives the fixed point itself
+    rc, out, err = run(["koenigs", "--z", "1e200"])
+    assert rc == 2 and out == "" and json.loads(err)["error"] == "BlowUpError"
+    rc, out, err = run(["koenigs", "--z", "1e-300"])
+    assert rc == 0 and err == ""
+    _, fixed, _ = run(["fixed-point"])
+    assert load_report(out)["value"] == [0.0, load_report(fixed)["mu_star"]]
 
 
 def test_readme_key_lists_match_the_reports():

@@ -15,30 +15,29 @@ from hrg.errors import (
     DomainError,
     EscapeAmbiguousError,
     ManifoldRadiusError,
-    NoGapError,
     OffManifoldError,
 )
 from hrg.geometry import make_params
 from hrg.rg import BLOWUP_GUARD, BulkVector, FlowCoefficients, bulk_step, flow_coefficients
 from hrg.dynamics import (
-    EigenData,
+    E_PHI2,
     _critical_mass_bisection,
     critical_mass,
     find_fixed_point,
-    jacobian_at,
     koenigs_psi,
     koenigs_value,
     psi_fixed_seed,
     stable_orbit,
     t_infinity,
     transport_along,
-    unstable_eigenpair,
+    unstable_eigenvalue,
 )
 from oracles import (
     ResonanceError,
     bulk_step_bisection,
     deep_orbit,
     delta_b_value,
+    jacobian_at,
     measure_contraction,
     newton_fixed_point,
     theta_vector,
@@ -51,12 +50,11 @@ def m21():
     table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    return params, table, fc, v_star, eig
+    return params, table, fc, v_star, unstable_eigenvalue(fc)
 
 
 def test_fixed_point_matches_closed_form(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     newton = newton_fixed_point(fc, params)
     assert v_star.delta_g == 0.0
     assert abs(newton.delta_g) <= 1e-10
@@ -75,8 +73,9 @@ def test_fixed_point_matches_closed_form(m21):
 )
 def test_closed_forms_across_parameter_space(p, l, eps, g_rel):
     # each closed form against a route that shares none of its code: Newton
-    # for the fixed point, LAPACK for the eigenpair, the exact eigenvalue in
-    # L and eps, and bisection on the escape side for the critical mass
+    # for the fixed point, LAPACK for the eigenpair of the 2x2 Jacobian, the
+    # exact eigenvalue in L and eps, and bisection on the escape side for the
+    # critical mass
     params = make_params(p, l, eps)
     fc = flow_coefficients(covariance_table(params), params)
     v_star = find_fixed_point(fc, params)
@@ -87,15 +86,17 @@ def test_closed_forms_across_parameter_space(p, l, eps, g_rel):
     assert image.delta_g == 0.0
     assert abs(image.mu - v_star.mu) <= 1e-14 * fc.lam_mu_free * abs(v_star.mu)
 
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    vals, vecs = np.linalg.eig(eig.jacobian)
+    alpha_u = unstable_eigenvalue(fc)
+    j = jacobian_at(v_star, fc)
+    assert j[0, 1] == 0.0 and alpha_u == j[1, 1]
+    vals, vecs = np.linalg.eig(j)
     i_u = int(np.argmax(np.abs(vals)))
-    assert eig.alpha_u == pytest.approx(vals[i_u], rel=1e-14)
-    assert eig.lam_g == pytest.approx(vals[1 - i_u], rel=1e-14)
+    assert alpha_u == pytest.approx(vals[i_u], rel=1e-14)
+    assert fc.lam_g == pytest.approx(vals[1 - i_u], rel=1e-14)
     assert abs(vecs[0, i_u]) <= 1e-14 * abs(vecs[1, i_u])
     L = float(params.L)
     closed = L ** ((3.0 + eps) / 2.0) * (2.0 + L**-eps) / 3.0
-    assert abs(eig.alpha_u - closed) <= 1e-12 * closed
+    assert abs(alpha_u - closed) <= 1e-12 * closed
 
     g = g_rel * fc.gbar
     if abs(2.0 - L**eps) >= 1.0:
@@ -109,7 +110,7 @@ def test_closed_forms_across_parameter_space(p, l, eps, g_rel):
 
 
 def test_fixed_point_synthetic_a2_zero(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     fc0 = FlowCoefficients(
         a1=fc.a1, a2=0.0, a3=fc.a3, a4=fc.a4, a5=fc.a5,
         gbar=fc.gbar, lam_g=fc.lam_g, lam_mu_free=fc.lam_mu_free,
@@ -120,7 +121,7 @@ def test_fixed_point_synthetic_a2_zero(m21):
 
 
 def test_jacobian_closed_form_and_fd(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     j = jacobian_at(v_star, fc)
     assert j[0, 1] == 0.0
     assert j[0, 0] == pytest.approx(0.928227, rel=1e-6)
@@ -139,33 +140,21 @@ def test_jacobian_closed_form_and_fd(m21):
 
 
 def test_unstable_eigenpair(m21):
-    params, table, fc, v_star, eig = m21
-    assert eig.alpha_u == pytest.approx(params.lam_mu_free - fc.a3 * fc.gbar, rel=1e-12)
-    assert eig.alpha_u == pytest.approx(2.862812, abs=1e-5)
-    assert abs(eig.e_u.delta_g) <= 1e-10
-    assert eig.e_u.mu == 1.0
+    params, table, fc, v_star, alpha_u = m21
+    assert alpha_u == pytest.approx(params.lam_mu_free - fc.a3 * fc.gbar, rel=1e-12)
+    assert alpha_u == pytest.approx(2.862812, abs=1e-5)
+    # E_PHI2 = (0, 1) is its eigenvector, to the bit
+    j = jacobian_at(v_star, fc)
+    assert (j @ np.array([E_PHI2.delta_g, E_PHI2.mu])).tolist() == [0.0, alpha_u]
     # truncated-flow asymptotic relation for the eigenvalue
-    ratio = eig.alpha_u / params.lam_mu_free
+    ratio = alpha_u / params.lam_mu_free
     le = params.l_eps
     assert ratio == pytest.approx(1.0 - (le - 1.0) / (3.0 * le), rel=1e-10)
 
 
-def test_unstable_eigenpair_synthetic():
-    eig = unstable_eigenpair(np.diag([0.3, 2.0]))
-    assert eig.alpha_u == pytest.approx(2.0, abs=1e-12)
-    assert eig.e_u.delta_g == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(NoGapError):
-        unstable_eigenpair(np.diag([2.0, 0.3]))  # dominant direction has no mass part
-
-
-def test_no_gap_matrix():
-    with pytest.raises(NoGapError):
-        unstable_eigenpair(np.diag([1.0, -1.0]))
-
-
 @pytest.mark.parametrize("g_rel", [0.95, 1.0, 1.05])
 def test_critical_mass_cross_method(m21, g_rel):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     g = g_rel * fc.gbar
     mu_seq = critical_mass(g, fc, params, method="sequence")
     mu_bis = critical_mass(g, fc, params, method="bisection")
@@ -175,13 +164,13 @@ def test_critical_mass_cross_method(m21, g_rel):
 
 
 def test_critical_mass_radius_guard(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     with pytest.raises(ManifoldRadiusError):
         critical_mass(2.0 * fc.gbar, fc, params)
 
 
 def test_critical_orbit_contraction_rate(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     orbit = stable_orbit(0.95 * fc.gbar, fc, params)
     rate = measure_contraction(orbit)
     assert rate < 1.0
@@ -189,7 +178,7 @@ def test_critical_orbit_contraction_rate(m21):
 
 
 def test_orbit_stores_its_depth_and_no_further(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
     m = orbit.settle_index
     assert 0 < m <= 80 and len(orbit.dg) == len(orbit.mu) == m + 1
@@ -249,13 +238,13 @@ def test_sequence_mass_is_bit_identical_to_the_deep_orbit(p):
 
 def test_dichotomy_diagnostic(m21):
     # mass-dominated separations expand, manifold separations contract
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     delta = 1e-5
     up, _ = bulk_step(BulkVector(v_star.delta_g, v_star.mu + delta), fc, params)
     dn, _ = bulk_step(BulkVector(v_star.delta_g, v_star.mu - delta), fc, params)
     growth = abs(up.mu - dn.mu) / (2 * delta)
     assert growth > 1.0
-    assert growth == pytest.approx(eig.alpha_u, rel=1e-4)
+    assert growth == pytest.approx(alpha_u, rel=1e-4)
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
     d0 = max(abs(orbit.point(0).delta_g - v_star.delta_g), abs(orbit.point(0).mu - v_star.mu))
     d1 = max(abs(orbit.point(1).delta_g - v_star.delta_g), abs(orbit.point(1).mu - v_star.mu))
@@ -263,33 +252,32 @@ def test_dichotomy_diagnostic(m21):
 
 
 def test_koenigs_basics(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     # zero argument reproduces the orbit limit
-    val, _ = koenigs_value(stable_orbit(fc.gbar, fc, params), BulkVector(0.0, 0.0), fc, eig.alpha_u)
+    val, _ = koenigs_value(stable_orbit(fc.gbar, fc, params), BulkVector(0.0, 0.0), fc, alpha_u)
     assert max(abs(val.delta_g - v_star.delta_g), abs(val.mu - v_star.mu)) <= 1e-13
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
-    val, _ = koenigs_value(orbit, BulkVector(0.0, 0.0), fc, eig.alpha_u)
+    val, _ = koenigs_value(orbit, BulkVector(0.0, 0.0), fc, alpha_u)
     assert max(abs(val.delta_g - v_star.delta_g), abs(val.mu - v_star.mu)) <= 1e-12
 
 
 def test_koenigs_intertwining_and_affinity(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     z = 1e-4
-    w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
+    w = BulkVector(z * E_PHI2.delta_g, z * E_PHI2.mu)
     res = koenigs_psi(v_star, w, fc, params)
     assert res.intertwine_residual <= 1e-10
     # along the unstable line the map is exactly affine in truncation mode
     assert abs(res.value.delta_g - v_star.delta_g - w.delta_g) <= 1e-14
     assert abs(res.value.mu - v_star.mu - w.mu) <= 1e-14
-    assert res.quadratic_coeff_estimate <= 1e-6
 
 
 def test_koenigs_quadratic_envelope(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     at_star = stable_orbit(fc.gbar, fc, params)
     for z in np.logspace(-4, -2.5, 4):
-        w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
-        val, _ = koenigs_value(at_star, w, fc, eig.alpha_u)
+        w = BulkVector(z * E_PHI2.delta_g, z * E_PHI2.mu)
+        val, _ = koenigs_value(at_star, w, fc, alpha_u)
         rem = max(abs(val.delta_g - v_star.delta_g - w.delta_g), abs(val.mu - v_star.mu - w.mu))
         assert rem <= 17.0 / 8.0 * z**2 + 1e-12
 
@@ -297,18 +285,18 @@ def test_koenigs_quadratic_envelope(m21):
 def test_koenigs_identity_differential_general_direction(m21):
     # differential with respect to the argument is the spectral projection;
     # remainder after removing it is quadratically small
-    params, table, fc, v_star, eig = m21
-    vals, vecs = np.linalg.eig(eig.jacobian)
+    params, table, fc, v_star, alpha_u = m21
+    vals, vecs = np.linalg.eig(jacobian_at(v_star, fc))
     i_u = int(np.argmax(np.abs(vals)))
     basis = np.stack([vecs[:, 1 - i_u], vecs[:, i_u]], axis=1)
     proj = np.real(np.outer(basis[:, 1], np.linalg.inv(basis)[1, :]))
     assert np.allclose(proj @ proj, proj, atol=1e-12)
-    assert np.allclose(proj @ np.array([eig.e_u.delta_g, eig.e_u.mu]), [0.0, 1.0], atol=1e-12)
+    assert np.allclose(proj @ np.array([E_PHI2.delta_g, E_PHI2.mu]), [0.0, 1.0], atol=1e-12)
     wdir = np.array([1.0, 0.7])
     pw = proj @ wdir
     at_star = stable_orbit(fc.gbar, fc, params)
     for z in (1e-3, 1e-4):
-        val, _ = koenigs_value(at_star, BulkVector(z * wdir[0], z * wdir[1]), fc, eig.alpha_u)
+        val, _ = koenigs_value(at_star, BulkVector(z * wdir[0], z * wdir[1]), fc, alpha_u)
         rem = max(abs(val.delta_g - v_star.delta_g - z * pw[0]), abs(val.mu - v_star.mu - z * pw[1]))
         assert rem <= 17.0 / 8.0 * (z * np.max(np.abs(wdir))) ** 2 + 1e-10
 
@@ -316,14 +304,14 @@ def test_koenigs_identity_differential_general_direction(m21):
 def test_vacuum_composition_slope_two(m21):
     # the vacuum term along the conjugated line has a genuine quadratic
     # remainder; its log-log slope against z is 2
-    params, table, fc, v_star, eig = m21
-    e = np.array([eig.e_u.delta_g, eig.e_u.mu])
+    params, table, fc, v_star, alpha_u = m21
+    e = np.array([E_PHI2.delta_g, E_PHI2.mu])
     grad = np.array([2 * fc.a4 * (fc.gbar + v_star.delta_g), 2 * fc.a5 * v_star.mu])
     lin = float(grad @ e)
     zs = np.logspace(-4, -3, 5)
     rems = []
     for z in zs:
-        val, _, _ = psi_fixed_seed(BulkVector(z * e[0], z * e[1]), fc, params, v_star, eig.alpha_u)
+        val, _, _ = psi_fixed_seed(BulkVector(z * e[0], z * e[1]), fc, params, v_star, alpha_u)
         rems.append(abs(delta_b_value(val, fc) - delta_b_value(v_star, fc) - z * lin))
     slope = np.polyfit(np.log(zs), np.log(rems), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
@@ -331,16 +319,16 @@ def test_vacuum_composition_slope_two(m21):
 
 
 def test_koenigs_intertwining_manifold_seed(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     orbit = stable_orbit(0.95 * fc.gbar, fc, params)
-    w = BulkVector(1e-4 * eig.e_u.delta_g, 1e-4)
+    w = BulkVector(1e-4 * E_PHI2.delta_g, 1e-4)
     res = koenigs_psi(orbit.point(0), w, fc, params)
     assert res.intertwine_residual <= 1e-10
 
 
 def test_koenigs_semigroup(m21):
-    params, table, fc, v_star, eig = m21
-    w = BulkVector(1e-4 * eig.e_u.delta_g, 1e-4)
+    params, table, fc, v_star, alpha_u = m21
+    w = BulkVector(1e-4 * E_PHI2.delta_g, 1e-4)
     for res in koenigs_psi(v_star, w, fc, params).semigroup_residuals:
         assert res <= 1e-9
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
@@ -352,13 +340,13 @@ def test_koenigs_semigroup(m21):
 
 
 def test_koenigs_via_t_infinity(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
     v = orbit.point(0)
     w = BulkVector(2e-4, 1e-4)
-    lhs, _ = koenigs_value(orbit, w, fc, eig.alpha_u)
-    tv, _, _ = t_infinity(orbit, w, fc, eig.alpha_u)
-    rhs, _, _ = psi_fixed_seed(tv, fc, params, v_star, eig.alpha_u)
+    lhs, _ = koenigs_value(orbit, w, fc, alpha_u)
+    tv, _, _ = t_infinity(orbit, w, fc, alpha_u)
+    rhs, _, _ = psi_fixed_seed(tv, fc, params, v_star, alpha_u)
     assert max(abs(lhs.delta_g - rhs.delta_g), abs(lhs.mu - rhs.mu)) <= 1e-8
 
 
@@ -372,15 +360,15 @@ def test_koenigs_builds_each_orbit_quantity_once(m21, monkeypatch):
 
         return wrapper
 
-    for name in ("stable_orbit", "mass_products", "psi_fixed_seed", "unstable_eigenpair", "semigroup_residuals"):
+    for name in ("stable_orbit", "mass_products", "psi_fixed_seed", "unstable_eigenvalue", "semigroup_residuals"):
         monkeypatch.setattr(hrg.dynamics, name, counted(name, getattr(hrg.dynamics, name)))
     with redirect_stdout(io.StringIO()):
         assert run_command(["koenigs"]) == 0
     # the settled orbit at the fixed point: one row serves every shift
     assert calls["stable_orbit"] == calls["mass_products"] == calls["psi_fixed_seed"] == 1
-    assert calls["unstable_eigenpair"] <= 2
+    assert calls["unstable_eigenvalue"] <= 2
     # off the fixed point: one row at the seed and one at each of the three shifts
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     seed = stable_orbit(1.05 * fc.gbar, fc, params).point(0)
     calls.clear()
     res = koenigs_psi(seed, BulkVector(2e-4, 1e-4), fc, params)
@@ -390,58 +378,58 @@ def test_koenigs_builds_each_orbit_quantity_once(m21, monkeypatch):
 
 
 def test_koenigs_rejects_off_manifold(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     with pytest.raises(OffManifoldError):
         koenigs_psi(BulkVector(0.0, v_star.mu + 1e-4), BulkVector(0.0, 1e-4), fc, params)
 
 
 def test_t_infinity_at_fixed_point(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     at_star = stable_orbit(fc.gbar, fc, params)
-    tv, kappa, _ = t_infinity(at_star, BulkVector(eig.e_u.delta_g, eig.e_u.mu), fc, eig.alpha_u)
+    tv, kappa, _ = t_infinity(at_star, BulkVector(E_PHI2.delta_g, E_PHI2.mu), fc, alpha_u)
     assert kappa == pytest.approx(1.0, rel=1e-12)
-    assert tv.delta_g == pytest.approx(eig.e_u.delta_g, abs=1e-12)
+    assert tv.delta_g == pytest.approx(E_PHI2.delta_g, abs=1e-12)
     # the stable eigendirection is annihilated; the bare coupling axis is
     # not an eigendirection here and keeps its unstable component
-    j = eig.jacobian
-    y_s = j[1, 0] / (fc.lam_g - eig.alpha_u)
-    tv, kappa, _ = t_infinity(at_star, BulkVector(1.0, float(y_s)), fc, eig.alpha_u)
+    j = jacobian_at(v_star, fc)
+    y_s = j[1, 0] / (fc.lam_g - alpha_u)
+    tv, kappa, _ = t_infinity(at_star, BulkVector(1.0, float(y_s)), fc, alpha_u)
     assert abs(kappa) <= 1e-10
     assert abs(tv.delta_g) <= 1e-10
-    tv, kappa, _ = t_infinity(at_star, BulkVector(1.0, 0.0), fc, eig.alpha_u)
+    tv, kappa, _ = t_infinity(at_star, BulkVector(1.0, 0.0), fc, alpha_u)
     assert kappa == pytest.approx(-y_s, rel=1e-9)
 
 
 def test_t_infinity_kappa_near_one(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     for g_rel in (0.95, 1.05):
         orbit = stable_orbit(g_rel * fc.gbar, fc, params)
-        _, kappa, _ = t_infinity(orbit, BulkVector(0.0, 1.0), fc, eig.alpha_u)
+        _, kappa, _ = t_infinity(orbit, BulkVector(0.0, 1.0), fc, alpha_u)
         assert kappa != 0.0
         assert abs(kappa - 1.0) < 0.1
 
 
 def test_transport_matches_jacobian_chain(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     orbit = stable_orbit(0.95 * fc.gbar, fc, params)
     w = BulkVector(0.3, -0.2)
-    got = transport_along(orbit, w, fc, eig.alpha_u, 3)
+    got = transport_along(orbit, w, fc, alpha_u, 3)
     y = np.array([0.3, -0.2])
     for n in range(3):
-        y = jacobian_at(orbit.point(n), fc) @ y / eig.alpha_u
+        y = jacobian_at(orbit.point(n), fc) @ y / alpha_u
     assert got.delta_g == pytest.approx(y[0], rel=1e-14)
     assert got.mu == pytest.approx(y[1], rel=1e-14)
 
 
 def test_theta_vanishes_in_truncation(m21):
-    params, table, fc, v_star, eig = m21
-    th = theta_vector(fc, eig)
+    params, table, fc, v_star, alpha_u = m21
+    th = theta_vector(fc, alpha_u, E_PHI2, jacobian_at(v_star, fc))
     assert abs(th.delta_g) <= 1e-12
     assert abs(th.mu) <= 1e-12
     # second difference of the conjugating map along the unstable line
     h = 1e-3
-    up, _, _ = psi_fixed_seed(BulkVector(h * eig.e_u.delta_g, h), fc, params, v_star, eig.alpha_u)
-    dn, _, _ = psi_fixed_seed(BulkVector(-h * eig.e_u.delta_g, -h), fc, params, v_star, eig.alpha_u)
+    up, _, _ = psi_fixed_seed(BulkVector(h * E_PHI2.delta_g, h), fc, params, v_star, alpha_u)
+    dn, _, _ = psi_fixed_seed(BulkVector(-h * E_PHI2.delta_g, -h), fc, params, v_star, alpha_u)
     fd = np.array(
         [up.delta_g - 2 * v_star.delta_g + dn.delta_g, up.mu - 2 * v_star.mu + dn.mu]
     ) / (2 * h**2)
@@ -451,19 +439,15 @@ def test_theta_vanishes_in_truncation(m21):
 def test_theta_synthetic_nonzero():
     # synthetic coefficients with a coupling component in the eigenvector
     fc = FlowCoefficients(a1=1.0, a2=2.0, a3=0.5, a4=3.0, a5=4.0, gbar=0.1, lam_g=0.5, lam_mu_free=2.0)
-    j = np.array([[0.5, 0.1], [-0.4, 2.0]])
-    with pytest.raises(NoGapError):
-        unstable_eigenpair(j)  # not lower triangular
+    j = np.array([[0.5, 0.1], [-0.4, 2.0]])  # not lower triangular
     vals, vecs = np.linalg.eig(j)
     i_u = int(np.argmax(np.abs(vals)))
     e_u = vecs[:, i_u] / vecs[1, i_u]
-    eig = EigenData(
-        alpha_u=float(vals[i_u]), e_u=BulkVector(float(e_u[0]), 1.0), lam_g=float(vals[1 - i_u]), jacobian=j
-    )
-    th = theta_vector(fc, eig)
-    e = np.array([eig.e_u.delta_g, eig.e_u.mu])
+    alpha = float(vals[i_u])
+    th = theta_vector(fc, alpha, BulkVector(float(e_u[0]), 1.0), j)
+    e = np.array([float(e_u[0]), 1.0])
     rhs = 0.5 * np.array([-2 * fc.a1 * e[0] ** 2, -2 * fc.a2 * e[0] ** 2 - 2 * fc.a3 * e[0] * e[1]])
-    lhs = (eig.alpha_u**2 * np.eye(2) - j) @ np.array([th.delta_g, th.mu])
+    lhs = (alpha**2 * np.eye(2) - j) @ np.array([th.delta_g, th.mu])
     assert np.allclose(lhs, rhs, atol=1e-13)
     assert abs(th.mu) > 0
 
@@ -471,13 +455,12 @@ def test_theta_synthetic_nonzero():
 def test_theta_resonance_guard():
     fc = FlowCoefficients(a1=1.0, a2=1.0, a3=1.0, a4=1.0, a5=1.0, gbar=0.1, lam_g=0.5, lam_mu_free=2.0)
     j = np.diag([0.5, 1.0])  # alpha = 1 resonates with alpha^2
-    eig = EigenData(alpha_u=1.0, e_u=BulkVector(0.1, 1.0), lam_g=0.5, jacobian=j)
     with pytest.raises(ResonanceError):
-        theta_vector(fc, eig)
+        theta_vector(fc, 1.0, BulkVector(0.1, 1.0), j)
 
 
 def test_orbit_monotone_decay(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     orbit = stable_orbit(1.05 * fc.gbar, fc, params)
     dists = [
         max(abs(orbit.point(n).delta_g - v_star.delta_g), abs(orbit.point(n).mu - v_star.mu))
@@ -488,7 +471,7 @@ def test_orbit_monotone_decay(m21):
 
 
 def test_escape_bracket_guard(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
 
     with pytest.raises(EscapeAmbiguousError):
         # manifold far outside the bracket: both endpoints escape downward
@@ -504,7 +487,7 @@ def test_escape_bracket_guard_refuses_one_undecided_end(m21, monkeypatch, flip):
     # images: one end escapes, the other is still undecided (side 0)
     import hrg.dynamics
 
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     fc = _synthetic(fc, a2=flip * fc.a2)  # a2 -> -a2 mirrors the mass map
     lo_img, hi_img = (bulk_step(BulkVector(0.0, mu), fc, params)[0].mu for mu in (-10.0 * fc.gbar, 10.0 * fc.gbar))
     factor = 0.5 * (abs(lo_img) + abs(hi_img)) / fc.gbar
@@ -551,7 +534,7 @@ def _synthetic(fc, **changes):
 
 
 def test_mass_only_bisection_keeps_the_bulk_step_guards(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     cases = [
         # a coupling that jumps past BLOWUP_GUARD before any trial mass escapes
         (0.1 * fc.gbar, _synthetic(fc, lam_g=1e12), BlowUpError),
@@ -573,7 +556,7 @@ def test_mass_only_bisection_ignores_a_blow_up_that_no_trial_reaches(m21):
     # BLOWUP_GUARD test at step 28, while every trial escapes by step 26:
     # the lazy sweep passes that step without raising, as bulk steps never
     # get there
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     delta_g0 = 0.1 * fc.gbar
     coeffs = _synthetic(fc, lam_g=1.0, a1=-1.0 / (20.0 * delta_g0))
     dg, crossing = delta_g0, 0
@@ -589,7 +572,7 @@ def test_bisection_never_steps_the_bulk_map(m21, monkeypatch):
     import hrg.dynamics
     import hrg.rg
 
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     calls = []
 
     def counted(*args, **kwargs):

@@ -4,15 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrg.errors import BoxBudgetError, BoxIndexError, EpsRangeError, NonPrimeError
-from hrg.geometry import (
-    BoxIndex,
-    all_boxes,
-    block_distance,
-    distance_class_sizes,
-    distance_exponents,
-    make_params,
-)
-from oracles import shell_measure
+from hrg.geometry import distance_class_sizes, distance_exponents, make_params
+from oracles import BoxIndex, all_boxes, block_distance, shell_measure
 
 
 def test_make_params_examples():

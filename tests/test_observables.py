@@ -28,20 +28,20 @@ from hrg.rg import (
 )
 from hrg.dynamics import (
     E_PHI2,
-    EigenData,
     find_fixed_point,
-    jacobian_at,
     mass_products,
     psi_fixed_seed,
     stable_orbit,
     t_infinity,
-    unstable_eigenpair,
+    unstable_eigenvalue,
 )
 from oracles import (
     SelfCheckError,
     delta_b_value,
+    jacobian_at,
     mp_ir_reduced,
     psi_vacuum_second_derivative,
+    quadratic_step,
     resolvent_one_point_ir,
     stein_ir_reduced,
     theta_vector,
@@ -55,26 +55,22 @@ def m21():
     table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    return params, table, fc, v_star, eig
+    return params, table, fc, v_star, unstable_eigenvalue(fc)
 
 
 @pytest.fixture(scope="module")
 def report21(m21):
-    params = m21[0]
-    return full_report(params)
+    params, table, fc = m21[:3]
+    return full_report(params, table, fc)
 
 
 def test_eta_examples(m21):
-    params, table, fc, v_star, eig = m21
-    eta = eta_phi2(eig, params)
+    params, table, fc, v_star, alpha_u = m21
+    eta = eta_phi2(alpha_u, params)
     assert eta == pytest.approx(0.06514, abs=1e-5)
     assert eta / params.eps == pytest.approx(0.651, abs=1e-3)
     # free multiplier gives zero anomaly
-    gauss = EigenData(
-        alpha_u=params.lam_mu_free, e_u=eig.e_u, lam_g=eig.lam_g, jacobian=eig.jacobian
-    )
-    assert eta_phi2(gauss, params) == pytest.approx(0.0, abs=1e-14)
+    assert eta_phi2(params.lam_mu_free, params) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_eta_trend_toward_two_thirds():
@@ -83,9 +79,7 @@ def test_eta_trend_toward_two_thirds():
         params = make_params(2, 1, eps)
         table = covariance_table(params)
         fc = flow_coefficients(table, params)
-        v = find_fixed_point(fc, params)
-        eig = unstable_eigenpair(jacobian_at(v, fc))
-        vals.append(eta_phi2(eig, params) / eps)
+        vals.append(eta_phi2(unstable_eigenvalue(fc), params) / eps)
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert abs(vals[-1] - 2.0 / 3.0) < 0.02
 
@@ -104,7 +98,7 @@ def _u4_closed_form(params, table, g_star):
 
 
 def test_u_values(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     u2, u4 = u_values(params, table, fc, v_star)
     assert u4 == pytest.approx(_u4_closed_form(params, table, fc.gbar + v_star.delta_g), rel=1e-12)
     assert u4 < 0.0
@@ -129,9 +123,9 @@ def test_u4_bound_p3():
 
 
 def test_uv_reduced(m21):
-    params, table, fc, v_star, eig = m21
-    uv = phi2_uv_reduced(fc, eig, params)
-    denom = eig.alpha_u**2 - params.L**3
+    params, table, fc, v_star, alpha_u = m21
+    uv = phi2_uv_reduced(fc, alpha_u, params)
+    denom = alpha_u**2 - params.L**3
     assert 1.0 / denom == pytest.approx(5.110, rel=1e-3)
     assert uv == pytest.approx(2.0 * fc.a5 / denom, rel=1e-9)
     assert uv > 0.0
@@ -141,29 +135,26 @@ def test_uv_reduced_blowup_constant():
     params = make_params(2, 1, 0.01)
     table = covariance_table(params)
     fc = flow_coefficients(table, params)
-    v_star = find_fixed_point(fc, params)
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
-    uv = phi2_uv_reduced(fc, eig, params)
+    uv = phi2_uv_reduced(fc, unstable_eigenvalue(fc), params)
     target = 6.0 * (1 - 2.0**-3) / np.log(2.0)
     assert abs(0.01 * uv - target) / target < 0.05
 
 
 def test_uv_reduced_divergence_guard(m21):
-    params, table, fc, v_star, eig = m21
-    bad = EigenData(alpha_u=1.5, e_u=eig.e_u, lam_g=eig.lam_g, jacobian=eig.jacobian)
+    params, table, fc, v_star, alpha_u = m21
     with pytest.raises(SeriesDivergenceError):
-        phi2_uv_reduced(fc, bad, params)
+        phi2_uv_reduced(fc, 1.5, params)
 
 
-def _richardson_ir_oracle(fc, eig, table, params, v_star, h=1e-3, rtol=1e-12, q_block=40):
+def _richardson_ir_oracle(fc, alpha_u, table, params, v_star, h=1e-3, rtol=1e-12, q_block=40):
     """The infrared piece by finite differences along literal deviation
     orbits: per-q central second differences in z at steps h/2 and h/4,
     Richardson-extrapolated, summed until the terms fall below rtol or the
     difference noise.  Returns (value, tail_bound)."""
 
     def vacuum_series(z):
-        w = BulkVector(z * eig.e_u.delta_g, z * eig.e_u.mu)
-        psi, _, _ = psi_fixed_seed(w, fc, params, v_star, eig.alpha_u)
+        w = BulkVector(z * E_PHI2.delta_g, z * E_PHI2.mu)
+        psi, _, _ = psi_fixed_seed(w, fc, params, v_star, alpha_u)
         dv = DeviationVector(beta4_dot=psi.delta_g - v_star.delta_g, beta2_dot=psi.mu - v_star.mu)
         out = []
         for _ in range(q_block):
@@ -192,12 +183,11 @@ def test_ir_reduced_matches_richardson_oracle(point):
     table = covariance_table(params)
     fc = flow_coefficients(table, params)
     v_star = find_fixed_point(fc, params)
-    eig = unstable_eigenpair(jacobian_at(v_star, fc))
     ir = phi2_ir_reduced(deviation_quadratic(v_star, fc, table, params))
     assert isinstance(ir, IRSeriesResult)
     assert ir.solve_residual < 1e-13
     assert ir.n_terms == 1
-    oracle, tail = _richardson_ir_oracle(fc, eig, table, params, v_star)
+    oracle, tail = _richardson_ir_oracle(fc, unstable_eigenvalue(fc), table, params, v_star)
     assert tail < 1e-6
     assert abs(ir.value - oracle) <= tail
     # leading term is the same-box pair graph of the mass direction
@@ -221,12 +211,11 @@ def test_ir_closed_forms_match_stein_route():
         fc = flow_coefficients(table, params)
         v_star = find_fixed_point(fc, params)
         dq = deviation_quadratic(v_star, fc, table, params)
-        e_u = unstable_eigenpair(jacobian_at(v_star, fc)).e_u
         ir = phi2_ir_reduced(dq).value
-        stein = stein_ir_reduced(dq, e_u)
+        stein = stein_ir_reduced(dq, E_PHI2)
         assert abs(ir - stein) <= 4e-16 * abs(stein), point
         ir_part = one_point_residual(dq, params, 0.0, unit)  # xi_inf = 0 drops the UV part
-        want = resolvent_one_point_ir(dq, e_u, -1.0)
+        want = resolvent_one_point_ir(dq, E_PHI2, -1.0)
         assert abs(ir_part - want) <= 4e-16 * abs(want), point
 
 
@@ -258,7 +247,9 @@ def test_report_runs_without_einsum_or_dense_solves(monkeypatch):
     monkeypatch.setattr(np, "einsum", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for point in [(2, 1, 0.1), (3, 2, 0.01), (5, 1, 0.5)]:
-        report = full_report(make_params(*point))
+        params = make_params(*point)
+        table = covariance_table(params)
+        report = full_report(params, table, flow_coefficients(table, params))
         assert abs(report.two_point_normalized - 1.0) <= 1e-10
 
 
@@ -274,9 +265,11 @@ def test_full_report_properties(p, l, eps, g_rel):
     # report with a vanishing one-point residual, the closed-form eta, and
     # seed-independent physical outputs
     params = make_params(p, l, eps)
+    table = covariance_table(params)
+    fc = flow_coefficients(table, params)
     try:
-        base = full_report(params)
-        r = full_report(params, g_seed=g_rel * base.gbar)
+        base = full_report(params, table, fc)
+        r = full_report(params, table, fc, g_seed=g_rel * base.gbar)
     except DomainError:
         return
     assert abs(r.two_point_normalized - 1.0) <= 1e-12
@@ -300,19 +293,19 @@ def test_ir_reduced_bounded_in_eps():
 
 
 def test_xi_sequence_and_upsilon(m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     orbit = stable_orbit(fc.gbar, fc, params)
-    xis, xi_inf = xi_sequence_limit(orbit, fc, *mass_products(orbit, fc, eig.alpha_u))
+    xis, xi_inf = xi_sequence_limit(orbit, fc, *mass_products(orbit, fc, alpha_u))
     # at the calibrator seed the sequence is constant at the analytic limit
     assert xi_inf == pytest.approx(2.0 * fc.a5 * v_star.mu, rel=1e-10)
     orbit2 = stable_orbit(1.05 * fc.gbar, fc, params)
-    _, kappa, _ = t_infinity(orbit2, E_PHI2, fc, eig.alpha_u)
-    _, xi_inf2 = xi_sequence_limit(orbit2, fc, *mass_products(orbit2, fc, eig.alpha_u))
+    _, kappa, _ = t_infinity(orbit2, E_PHI2, fc, alpha_u)
+    _, xi_inf2 = xi_sequence_limit(orbit2, fc, *mass_products(orbit2, fc, alpha_u))
     assert xi_inf2 == pytest.approx(kappa * 2.0 * fc.a5 * v_star.mu, rel=1e-9)
 
 
 def test_normalization_identities(report21, m21):
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     r = report21
     L = float(params.L)
     assert r.norms.z2 * L ** (3 - 2 * params.phi_dim) == pytest.approx(r.alpha_u, rel=1e-13)
@@ -330,11 +323,10 @@ def test_two_point_normalized_and_one_point(report21):
 
 
 def test_mini_universality(m21, report21):
-    params = m21[0]
+    params, table, fc = m21[:3]
     r0 = report21
-    fc = m21[2]
     for g_rel in (0.95, 1.05):
-        r = full_report(params, g_seed=g_rel * fc.gbar)
+        r = full_report(params, table, fc, g_seed=g_rel * fc.gbar)
         assert abs(r.eta_phi2 - r0.eta_phi2) <= 1e-8
         assert abs(r.u2 - r0.u2) <= 1e-8
         assert abs(r.u4 - r0.u4) <= 1e-8
@@ -348,10 +340,10 @@ def test_mini_universality(m21, report21):
 def test_one_point_tail_form_matches_naive_at_moderate_depth(m21, report21):
     # the y0 cancellation bookkeeping: naive partial sums with the explicit
     # counter-normalization equal the algebraically collapsed tail form
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     r = report21
     orbit = stable_orbit(fc.gbar, fc, params)
-    xis, xi_inf = xi_sequence_limit(orbit, fc, *mass_products(orbit, fc, eig.alpha_u))
+    xis, xi_inf = xi_sequence_limit(orbit, fc, *mass_products(orbit, fc, alpha_u))
     z0, y0, y2 = r.norms.z0, r.norms.y0, r.norms.y2
     depth = 10
     # naive: -y0 z0^r - y2 L^-3 z0^r sum_{n<-r} z0^n Xi_n, at r = -depth
@@ -377,13 +369,14 @@ def test_report_error_bands(report21):
 
 def test_uv_reduced_self_check_guards_bad_theta(m21):
     # the finite-difference oracle of the UV piece rejects a wrong curvature
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     bad_theta = BulkVector(0.0, 0.5)
     with pytest.raises(SelfCheckError):
-        uv_reduced_oracle(fc, eig, bad_theta, v_star, params)
+        uv_reduced_oracle(fc, alpha_u, bad_theta, v_star, params)
     # and the honest theta passes it, at the closed form's value
-    uv = uv_reduced_oracle(fc, eig, theta_vector(fc, eig), v_star, params)
-    assert uv == phi2_uv_reduced(fc, eig, params)
+    theta = theta_vector(fc, alpha_u, E_PHI2, jacobian_at(v_star, fc))
+    uv = uv_reduced_oracle(fc, alpha_u, theta, v_star, params)
+    assert uv == phi2_uv_reduced(fc, alpha_u, params)
 
 
 UV_GRID = [(p, l, eps) for p in (2, 3, 5, 7) for l in (1, 2) for eps in (0.01, 0.1, 0.5)]
@@ -393,20 +386,20 @@ def _bulk_point(p, l, eps):
     params = make_params(p, l, eps)
     fc = flow_coefficients(covariance_table(params), params)
     v_star = find_fixed_point(fc, params)
-    return params, fc, v_star, unstable_eigenpair(jacobian_at(v_star, fc))
+    return params, fc, v_star, unstable_eigenvalue(fc)
 
 
 @pytest.mark.parametrize("point", UV_GRID, ids=lambda p: "-".join(map(str, p)))
 def test_uv_reduced_matches_fd_oracle(point):
     # 2 a5 / (alpha_u^2 - L^3) against the Richardson second difference of
     # the vacuum term along the double iteration psi(v*, z e_u)
-    params, fc, v_star, eig = _bulk_point(*point)
-    uv = phi2_uv_reduced(fc, eig, params)
-    oracle = psi_vacuum_second_derivative(fc, eig, v_star, params) / (eig.alpha_u**2 - float(params.L) ** 3)
+    params, fc, v_star, alpha_u = _bulk_point(*point)
+    uv = phi2_uv_reduced(fc, alpha_u, params)
+    oracle = psi_vacuum_second_derivative(fc, alpha_u, v_star, params) / (alpha_u**2 - float(params.L) ** 3)
     assert abs(uv - oracle) <= 1e-6 * abs(uv)
     # the conjugating map has no quadratic term along e_u = (0, 1): that is
     # why the UV piece is this closed form and the IR seed has b_0 = 0
-    theta = theta_vector(fc, eig)
+    theta = theta_vector(fc, alpha_u, E_PHI2, jacobian_at(v_star, fc))
     assert (theta.delta_g, theta.mu) == (0.0, 0.0)
 
 
@@ -427,12 +420,13 @@ def test_closed_form_step_matches_deviation_step(point):
         v_star = find_fixed_point(fc, params)
         dq = deviation_quadratic(v_star, fc, table, params)
         direct = deviation_step(v_star, DeviationVector(*probe), fc, table, params).as_array()[:6]
-        assert np.max(np.abs(dq.step(probe) - direct)) <= 1e-13 * np.max(np.abs(direct)), eps
+        assert np.max(np.abs(quadratic_step(dq, probe) - direct)) <= 1e-13 * np.max(np.abs(direct)), eps
 
 
 def test_full_report_second_eps():
     params = make_params(2, 1, 0.05)
-    r = full_report(params)
+    table = covariance_table(params)
+    r = full_report(params, table, flow_coefficients(table, params))
     assert abs(r.two_point_normalized - 1.0) <= 1e-10
     assert abs(r.one_point_residual) <= 1e-8
     assert r.u4 <= -r.gbar / 3.0
@@ -442,22 +436,22 @@ def test_full_report_second_eps():
 def test_uv_series_assembly_matches_direct_sum(m21):
     # the closed 1/(alpha^2 - L^3) assembly against a literal partial sum of
     # the ultraviolet scale series, term by term through the conjugated line
-    params, table, fc, v_star, eig = m21
-    uv = phi2_uv_reduced(fc, eig, params)
+    params, table, fc, v_star, alpha_u = m21
+    uv = phi2_uv_reduced(fc, alpha_u, params)
     h = 1e-3
     total = 0.0
     m_max = 8  # deeper scales fall below difference rounding at fixed stencil
     for m in range(1, m_max + 1):
-        scale = eig.alpha_u**-m
+        scale = alpha_u**-m
 
         def f(z):
-            w = BulkVector(scale * z * eig.e_u.delta_g, scale * z * eig.e_u.mu)
-            val, _, _ = psi_fixed_seed(w, fc, params, v_star, eig.alpha_u)
+            w = BulkVector(scale * z * E_PHI2.delta_g, scale * z * E_PHI2.mu)
+            val, _, _ = psi_fixed_seed(w, fc, params, v_star, alpha_u)
             return delta_b_value(val, fc)
 
         d2 = (f(h) - 2.0 * f(0.0) + f(-h)) / h**2
         total += float(params.L) ** (3 * (m - 1)) * d2
-    partial = uv * (1.0 - (params.L**3 / eig.alpha_u**2) ** m_max)
+    partial = uv * (1.0 - (params.L**3 / alpha_u**2) ** m_max)
     assert total == pytest.approx(partial, rel=1e-6)
 
 
@@ -465,35 +459,29 @@ def test_uv_series_assembly_matches_direct_sum(m21):
     "point", [(7, 1, 0.1), (3, 2, 0.1), (11, 3, 0.1), (101, 3, 0.01)], ids=lambda p: "-".join(map(str, p))
 )
 def test_full_report_needs_no_block_matrix(point, monkeypatch):
-    # the report is closed forms and two small solves: it builds one scalar
-    # covariance table, never runs the block engine and allocates nothing per
-    # box, up to about 1.8e9 and 1.1e18 boxes at (11, 3) and (101, 3)
+    # the report is closed forms and two small solves: with its scalar
+    # covariance table it never runs the block engine and allocates nothing
+    # per box, up to about 1.8e9 and 1.1e18 boxes at (11, 3) and (101, 3)
     import tracemalloc
 
-    import hrg.observables
     import hrg.rg
 
-    tables, steps = [], []
-    build_table, block_step = hrg.observables.covariance_table, hrg.rg.block_step
-
-    def recording_table(*args, **kwargs):
-        tables.append(build_table(*args, **kwargs))
-        return tables[-1]
+    steps = []
+    block_step = hrg.rg.block_step
 
     def counting_step(*args, **kwargs):
         steps.append(1)
         return block_step(*args, **kwargs)
 
-    monkeypatch.setattr(hrg.observables, "covariance_table", recording_table)
     monkeypatch.setattr(hrg.rg, "block_step", counting_step)
     params = make_params(*point)
     tracemalloc.start()
     try:
-        report = full_report(params)
+        table = covariance_table(params)
+        report = full_report(params, table, flow_coefficients(table, params))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(tables) == 1
     assert len(steps) == 0
     assert peak < 2**20
     assert report.two_point_normalized == pytest.approx(1.0, abs=1e-10)
@@ -502,7 +490,7 @@ def test_full_report_needs_no_block_matrix(point, monkeypatch):
 def test_ir_reduced_contraction_guard(m21):
     from hrg.errors import ContractionError
 
-    params, table, fc, v_star, eig = m21
+    params, table, fc, v_star, alpha_u = m21
     # a strongly coupled background is not a contraction point of the
     # deviation flow; the guard must refuse rather than sum a divergent series
     far = BulkVector(1.0, 0.0)

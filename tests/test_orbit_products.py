@@ -16,7 +16,6 @@ from hrg.dynamics import (
     E_PHI2,
     PSI_TOL,
     find_fixed_point,
-    jacobian_at,
     kappa_tail_log,
     koenigs_psi,
     koenigs_value,
@@ -24,7 +23,7 @@ from hrg.dynamics import (
     psi_fixed_seed,
     stable_orbit,
     t_infinity,
-    unstable_eigenpair,
+    unstable_eigenvalue,
 )
 from hrg.errors import DomainError
 from hrg.geometry import make_params
@@ -48,8 +47,7 @@ def _walk_rtol(orbit):
 def _point(p, l, eps):
     params = make_params(p, l, eps)
     fc = flow_coefficients(covariance_table(params), params)
-    eig = unstable_eigenpair(jacobian_at(find_fixed_point(fc, params), fc))
-    return params, fc, eig
+    return params, fc, unstable_eigenvalue(fc)
 
 
 def _rel(a, b):
@@ -60,13 +58,13 @@ def _rel(a, b):
 @pytest.mark.parametrize("l", (1, 2))
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_products_match_chained_jacobian_walks(p, l, eps):
-    params, fc, eig = _point(p, l, eps)
+    params, fc, alpha = _point(p, l, eps)
     if abs(fc.lam_g) >= 1.0:
         # no stable coupling direction: there is no orbit to walk
         with pytest.raises(DomainError):
             stable_orbit(fc.gbar, fc, params)
         return
-    alpha = eig.alpha_u
+    alpha = alpha
     z0 = alpha / float(params.L) ** 3
     w = BulkVector(0.3, -0.2)
     for g_rel in G_RELS:
@@ -94,7 +92,7 @@ def test_products_match_chained_jacobian_walks(p, l, eps):
             walk = xis_walk[n] if n < len(xis_walk) else xi_inf_walk
             assert z0**n * abs(xi - walk) <= tol * scale
         assert _rel(xi_inf, xi_inf_walk) <= tol
-        upsilon = normalization_constants(eig, params, xis, xi_inf, kappa, 1.0).upsilon
+        upsilon = normalization_constants(alpha, params, xis, xi_inf, kappa, 1.0).upsilon
         assert _rel(upsilon, upsilon_sum(xis_walk, z0)) <= RTOL
 
         # a direction with a coupling part: the cross sum and its tail
@@ -109,13 +107,13 @@ def test_products_match_chained_jacobian_walks(p, l, eps):
 @pytest.mark.parametrize("l", (1, 2))
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_closed_form_conjugating_map_matches_walks_and_double_iteration(p, l, eps):
-    params, fc, eig = _point(p, l, eps)
+    params, fc, alpha = _point(p, l, eps)
     v_star = find_fixed_point(fc, params)
     if abs(fc.lam_g) >= 1.0:
         with pytest.raises(DomainError):
             koenigs_psi(v_star, E_PHI2, fc, params)
         return
-    alpha = eig.alpha_u
+    alpha = alpha
     for g_rel in G_RELS[1:4]:
         orbit = stable_orbit(g_rel * fc.gbar, fc, params)
         deep = deep_orbit(g_rel * fc.gbar, fc, params)
@@ -140,11 +138,11 @@ def test_closed_form_conjugating_map_matches_walks_and_double_iteration(p, l, ep
 def test_walk_of_a_small_w_is_the_combination_of_the_unit_walks():
     # the walk settles relative to |y|, so a small w is walked as far as
     # the unit vectors; an absolute stop leaves it 8e-10 short here
-    params, fc, eig = _point(2, 1, 0.1)
+    params, fc, alpha = _point(2, 1, 0.1)
     deep = deep_orbit(fc.gbar, fc, params)
-    e_walk = chained_jacobian_walk(deep, BulkVector(1.0, 0.0), fc, eig.alpha_u)[1]
-    k_walk = chained_jacobian_walk(deep, E_PHI2, fc, eig.alpha_u)[1]
-    kappa_walk = chained_jacobian_walk(deep, BulkVector(2e-4, 1e-4), fc, eig.alpha_u)[1]
+    e_walk = chained_jacobian_walk(deep, BulkVector(1.0, 0.0), fc, alpha)[1]
+    k_walk = chained_jacobian_walk(deep, E_PHI2, fc, alpha)[1]
+    kappa_walk = chained_jacobian_walk(deep, BulkVector(2e-4, 1e-4), fc, alpha)[1]
     scale = abs(2e-4 * e_walk) + abs(1e-4 * k_walk)
     assert abs(kappa_walk - (2e-4 * e_walk + 1e-4 * k_walk)) <= _walk_rtol(deep) * scale
 
@@ -154,12 +152,12 @@ def test_walk_of_a_small_w_is_the_combination_of_the_unit_walks():
 def test_kappa_matches_deep_product(p, eps):
     # from eps 3e-4 down the coupling has not decayed within 50 000 steps:
     # there kappa comes from the Koenigs tail of an orbit of under 80 steps
-    params, fc, eig = _point(p, 1, eps)
+    params, fc, alpha = _point(p, 1, eps)
     for g_rel in (0.95, 1.05):
         orbit = stable_orbit(g_rel * fc.gbar, fc, params)
         assert orbit.settle_index <= 80
-        _, kappa = mass_products(orbit, fc, eig.alpha_u)
-        assert _rel(kappa, deep_kappa(orbit.dg[0], fc, eig.alpha_u)) <= RTOL
+        _, kappa = mass_products(orbit, fc, alpha)
+        assert _rel(kappa, deep_kappa(orbit.dg[0], fc, alpha)) <= RTOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,11 +168,11 @@ def test_kappa_matches_deep_product(p, eps):
     g_rel=st.floats(0.5, 1.4999999),  # 1.5 gbar - gbar may round past the radius
 )
 def test_kappa_matches_deep_product_everywhere(p, l, eps, g_rel):
-    params, fc, eig = _point(p, l, eps)
+    params, fc, alpha = _point(p, l, eps)
     assume(abs(fc.lam_g) < 1.0)
     orbit = stable_orbit(g_rel * fc.gbar, fc, params)
-    _, kappa = mass_products(orbit, fc, eig.alpha_u)
-    assert _rel(kappa, deep_kappa(orbit.dg[0], fc, eig.alpha_u)) <= 1e-14
+    _, kappa = mass_products(orbit, fc, alpha)
+    assert _rel(kappa, deep_kappa(orbit.dg[0], fc, alpha)) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -189,8 +187,7 @@ def test_kappa_matches_deep_product_everywhere(p, l, eps, g_rel):
     ],
 )
 def test_kappa_tail_at_zero_and_negative_multipliers(p, l, eps):
-    params, fc, eig = _point(p, l, eps)
-    alpha = eig.alpha_u
+    params, fc, alpha = _point(p, l, eps)
     for g_rel in (0.5, 0.9, 1.1, 1.49):
         orbit = stable_orbit(g_rel * fc.gbar, fc, params)
         _, kappa = mass_products(orbit, fc, alpha)
@@ -216,8 +213,7 @@ def _split_kappa(orbit, fc, alpha, k):
 def test_kappa_does_not_depend_on_where_the_tail_starts(p, l, eps):
     # far below the old depth cap no deep product is affordable; moving the
     # split between exact steps and the series must leave kappa in place
-    params, fc, eig = _point(p, l, eps)
-    alpha = eig.alpha_u
+    params, fc, alpha = _point(p, l, eps)
     for g_rel in (0.5, 0.95, 1.05, 1.49):
         orbit = stable_orbit(g_rel * fc.gbar, fc, params)
         _, kappa = mass_products(orbit, fc, alpha)

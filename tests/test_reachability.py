@@ -1,16 +1,22 @@
-"""Every function of the package is entered by some command line.
+"""Every function of the package is entered by some command line, or is
+pinned by the benchmark's tracer.
 
 A fresh interpreter sets `sys.settrace` and `threading.settrace` before
 `import hrg.cli`, so code that runs at import (the graph tables, the
 command table) counts, and so do the `hrg mc` worker threads.  It then runs
 a fixed list of command lines through `hrg.cli.main`.  Each function
 defined under the package that no command entered must appear in
-UNREACHED with its reason, and each function there must stay unentered:
-a new unreachable function fails the test, and so does an entry that a
-command now reaches, so the list can only shrink.
+UNREACHED, with the `bench/tracing.py` target that keeps it: the target
+itself, or the wrapped function it serves.  Each function there must stay
+unentered, so a new unreachable function fails the test, and so does an
+entry that a command now reaches.  Each entry's target must still be one
+the tracer wraps, so when the benchmark drops a target, its code has to
+leave the package.  Reference code that only the tests call lives under
+`tests/`.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,45 +26,27 @@ from pathlib import Path
 import hrg
 
 PACKAGE = Path(hrg.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
-PINNED = "pinned"  # bench/tracing.py wraps it, or it serves a wrapped name
-ORACLE = "oracle"  # reference code that only the tests call
-
+# function -> the tracer target that pins it
 UNREACHED = {
-    "mc.FieldEnsemble.batches": PINNED,
-    "rg.block_step": PINNED,
-    "rg.second_order_counterterms": PINNED,
-    "rg.deviation_step": PINNED,
-    "rg.deviation_vacuum": PINNED,
-    "rg._deviated_and_bulk": PINNED,
-    "rg._level_weights": PINNED,
-    "rg._level_sums": PINNED,
-    "rg._class_grams": PINNED,
-    "rg._gamma_apply": PINNED,
-    "rg._graph_weights": PINNED,
-    "rg.BlockCouplings.homogeneous": PINNED,
-    "rg.BlockCouplings.with_deviation": PINNED,
-    "rg.BlockCouplings.beta": PINNED,
-    "rg.BlockCouplings.w": PINNED,
-    "rg.BlockOutput.as_array": PINNED,
-    "rg.DeviationVector.as_array": PINNED,
-    "cli.load_report": ORACLE,
-    "geometry.all_boxes": ORACLE,
-    "geometry._check_box": ORACLE,
-    "geometry.block_distance": ORACLE,
-    "rg.DeviationQuadratic.step": ORACLE,
-    "rg.uv_explicit_series": ORACLE,
-    "rg.cumulant_oracle": ORACLE,
-    "rg.cumulant_oracle.counterterms": ORACLE,
-    "wick.double_factorial_odd": ORACLE,
-    "wick.WickPoly.degree": ORACLE,
-    "wick.WickPoly.coeff": ORACLE,
-    "wick._clean": ORACLE,
-    "wick._check_degree": ORACLE,
-    "wick.monomial_to_wick": ORACLE,
-    "wick.wick_to_monomial": ORACLE,
-    "wick.wick_product": ORACLE,
-    "wick.scale_argument": ORACLE,
+    "mc.FieldEnsemble.batches": "mc.FieldEnsemble.batches",
+    "rg.block_step": "rg.block_step",
+    "rg.second_order_counterterms": "rg.second_order_counterterms",
+    "rg.deviation_step": "rg.deviation_step",
+    "rg.deviation_vacuum": "rg.deviation_vacuum",
+    "rg._deviated_and_bulk": "rg.deviation_step",
+    "rg._level_weights": "rg.second_order_counterterms",
+    "rg._level_sums": "rg.second_order_counterterms",
+    "rg._class_grams": "rg.second_order_counterterms",
+    "rg._gamma_apply": "rg.second_order_counterterms",
+    "rg._graph_weights": "rg.second_order_counterterms",
+    "rg.BlockCouplings.homogeneous": "rg.deviation_step",
+    "rg.BlockCouplings.with_deviation": "rg.deviation_step",
+    "rg.BlockCouplings.beta": "rg.second_order_counterterms",
+    "rg.BlockCouplings.w": "rg.second_order_counterterms",
+    "rg.BlockOutput.as_array": "rg.deviation_step",
+    "rg.DeviationVector.as_array": "rg.deviation_step",
 }
 
 # stdout and stderr are dropped; each command line's exit code is kept
@@ -130,6 +118,19 @@ def _defined_functions() -> dict:
     return defined
 
 
+def _tracer_targets() -> set:
+    """Labels ("rg.block_step") of the functions `bench/tracing.py` wraps,
+    loaded from its file the way tests/test_trace_contract.py loads it."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {target.label for target in module.TARGETS}
+
+
 def test_every_function_is_entered_or_allowlisted(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("eps = 0.05\nobservables.g_rel = 0.95\n")
@@ -148,3 +149,7 @@ def test_every_function_is_entered_or_allowlisted(tmp_path):
     unreached = {name for site, name in defined.items() if site not in entered}
     assert sorted(unreached - set(UNREACHED)) == [], "functions no command enters"
     assert sorted(set(UNREACHED) - unreached) == [], "allowlisted functions a command now enters"
+    targets = _tracer_targets()
+    assert sorted(set(UNREACHED.values()) - targets) == [], "pinned by names the tracer no longer wraps"
+    pinned_targets = {name for name, target in UNREACHED.items() if name == target}
+    assert sorted(unreached & targets) == sorted(pinned_targets), "tracer targets no command enters"

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrg.errors import DegreeError, WickConstantMismatchError
-from hrg.wick import (
+from hrg.wick import connection_coeff
+import exact_block
+from wick_algebra import (
+    DegreeError,
+    WickConstantMismatchError,
     WickPoly,
-    connection_coeff,
     monomial_to_wick,
     scale_argument,
     wick_product,
     wick_to_monomial,
 )
-import exact_block
 
 
 def test_connection_coeff_examples():
