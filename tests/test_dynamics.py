@@ -139,6 +139,37 @@ def test_jacobian_closed_form_and_fd(m21):
         assert np.allclose(fd, ja[:, col], atol=1e-8)
 
 
+def test_unstable_eigenpair_synthetic(m21):
+    params, table, fc, v_star, alpha_u = m21
+    # lam_g = 0.3 and alpha_u = 2.5 - 0.5 * 1.0 = 2.0, both exact in binary
+    fc0 = FlowCoefficients(
+        a1=0.2, a2=0.1, a3=0.5, a4=0.0, a5=0.0,
+        gbar=1.0, lam_g=0.3, lam_mu_free=2.5,
+    )
+    alpha0 = unstable_eigenvalue(fc0)
+    assert alpha0 == 2.0
+    v0 = find_fixed_point(fc0, params)
+    j = jacobian_at(v0, fc0)
+    assert j[0, 1] == 0.0 and j[0, 0] == 0.3 and j[1, 1] == alpha0
+    vals, vecs = np.linalg.eig(j)
+    i_u = int(np.argmax(np.abs(vals)))
+    assert vals[i_u] == pytest.approx(2.0, abs=1e-12)
+    assert vecs[0, i_u] == pytest.approx(0.0, abs=1e-12)
+    assert (j @ np.array([E_PHI2.delta_g, E_PHI2.mu])).tolist() == [0.0, alpha0]
+
+
+def test_no_gap_matrix(m21):
+    params, table, fc, v_star, alpha_u = m21
+    # alpha_u = 1.5 - 0.5 = 1: no gap above 1, so the fixed point is undefined
+    fc0 = FlowCoefficients(
+        a1=0.2, a2=0.1, a3=0.5, a4=0.0, a5=0.0,
+        gbar=1.0, lam_g=0.3, lam_mu_free=1.5,
+    )
+    assert unstable_eigenvalue(fc0) == 1.0
+    with pytest.raises(DomainError):
+        find_fixed_point(fc0, params)
+
+
 def test_unstable_eigenpair(m21):
     params, table, fc, v_star, alpha_u = m21
     assert alpha_u == pytest.approx(params.lam_mu_free - fc.a3 * fc.gbar, rel=1e-12)
